@@ -15,39 +15,39 @@
 //! fractional per-record weights are exactly why *it* cannot shard by
 //! range and the columnar path can.
 //!
-//! Both store versions are served. A v1 store folds row by row off the
-//! zero-copy [`SslColumns`] view. A v2 store runs the vectorized fold:
-//! workers claim whole *segments*, consult each segment's zone map to
-//! skip row bands that cannot match the active [`super::RowFilter`]
-//! (filter predicates are resolved to dictionary codes once, so the
-//! per-row test is two integer compares), decode only the five columns
-//! the fold touches into reused scratch buffers, and key the per-chain
-//! accumulators by fingerprint-*code* sequences — fingerprints and SNI
-//! strings are resolved once per distinct chain at the end, not once per
-//! row. Zone-map skip decisions are per-segment properties of the data,
-//! so they are identical for every thread count, which keeps the
-//! `colstore.segments_*` metrics deterministic.
+//! The fold is vectorized: workers claim whole *segments*, ask the
+//! resolved [`ColFilter`] whether each segment can be skipped (by its
+//! category digest or its zone maps) under the active
+//! [`super::RowFilter`] (filter predicates are resolved to dictionary
+//! codes once, so the per-row test is two integer compares), decode only
+//! the five columns the fold touches into reused scratch buffers, and
+//! key the per-chain accumulators by fingerprint-*code* sequences —
+//! fingerprints and SNI strings are resolved once per distinct chain at
+//! the end, not once per row. Skip decisions are per-segment properties
+//! of the data, so they are identical for every thread count, which
+//! keeps the `colstore.segments_*` metrics deterministic.
 
 use super::categorize::{self, Prepared};
 use super::enrich::CertIndex;
 use super::ingest::{ChainAccum, IngestCounts};
 use super::{resolve_threads, Analysis, Pipeline, RowFilter};
-use crate::filtercat::{chain_category, CategoryOracle, CertCat};
+use crate::filtercat::{chain_category, CertCat};
 use crate::model::{CertRecord, ChainKey};
 use crate::usage::UsageStats;
 use certchain_colstore::{
-    CategoryDigest, CategorySet, ColError, ColResult, DatasetReader, SslColumns, SslSegments,
-    X509Columns, X509Segments, NONE_IDX, VERSION_V1,
+    CategoryDigest, CategorySet, ColError, ColResult, DatasetReader, SslSegments, X509Segments,
+    NONE_IDX,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 impl Pipeline<'_> {
-    /// Run the full analysis over an open columnar store (either format
-    /// version). For a store converted from (or generated alongside) a
-    /// TSV dataset, the result is byte-identical to
+    /// Run the full analysis over an open columnar store: segment-at-a-
+    /// time decode, digest and zone-map skipping, and the code-keyed
+    /// vectorized fold. For a store converted from (or generated
+    /// alongside) a TSV dataset, the result is byte-identical to
     /// [`Pipeline::analyze_stream`] over the Zeek readers, for every
-    /// thread count and for either store version.
+    /// thread count.
     ///
     /// The first corrupt-data error aborts the analysis and is returned
     /// as-is (truncation is already caught by [`DatasetReader::open`]).
@@ -55,59 +55,6 @@ impl Pipeline<'_> {
         let threads = resolve_threads(self.options.threads);
         self.obs.set("colstore.bytes_mapped", reader.bytes_mapped());
         let filter = ColFilter::resolve(reader, &self.options.filter)?;
-        if reader.format_version() == VERSION_V1 {
-            self.analyze_colstore_v1(reader, &filter, threads)
-        } else {
-            self.analyze_colstore_v2(reader, &filter, threads)
-        }
-    }
-
-    /// The v1 path: per-row fold off the zero-copy column views.
-    fn analyze_colstore_v1(
-        &self,
-        reader: &DatasetReader,
-        filter: &ColFilter,
-        threads: usize,
-    ) -> Result<Analysis, ColError> {
-        // v1 has no zone maps: every row is scanned even under a filter.
-        self.obs
-            .add("colstore.rows_read", reader.ssl_rows() + reader.x509_rows());
-        let (cert_index, unparseable) = {
-            let _span = self.obs.stage("enrich");
-            enrich_columns(&reader.x509()?)?
-        };
-        self.record_enrich(reader.x509_rows(), unparseable, cert_index.len());
-        // v1 also has no per-fp-code tables, so the category predicate
-        // runs through the same oracle the TSV path uses.
-        let oracle = filter.categories.map(|set| {
-            CategoryOracle::new(
-                set,
-                cert_index.iter().map(|(fp, cert)| (*fp, &**cert)),
-                self.trust,
-            )
-        });
-        let (prepared, counts) = {
-            let _span = self.obs.stage("ingest");
-            ingest_columns(
-                self,
-                &reader.ssl()?,
-                filter,
-                oracle.as_ref(),
-                &cert_index,
-                threads,
-            )?
-        };
-        Ok(self.finish(prepared, counts, threads))
-    }
-
-    /// The v2 path: segment-at-a-time decode, zone-map skipping, and the
-    /// code-keyed vectorized fold.
-    fn analyze_colstore_v2(
-        &self,
-        reader: &DatasetReader,
-        filter: &ColFilter,
-        threads: usize,
-    ) -> Result<Analysis, ColError> {
         let x509 = reader.x509_segments()?;
         let (cert_index, unparseable, x509_tally) = {
             let _span = self.obs.stage("enrich");
@@ -117,14 +64,7 @@ impl Pipeline<'_> {
         let ssl = reader.ssl_segments()?;
         let (prepared, counts, ssl_tally) = {
             let _span = self.obs.stage("ingest");
-            ingest_segments(
-                self,
-                &ssl,
-                filter,
-                reader.category_digests(),
-                &cert_index,
-                threads,
-            )?
+            ingest_segments(self, &ssl, &filter, &cert_index, threads)?
         };
         // Scan accounting. Skip decisions are per-segment data
         // properties, so every value here is thread-count-invariant;
@@ -141,23 +81,38 @@ impl Pipeline<'_> {
     }
 }
 
-/// A [`RowFilter`] resolved against one store's dictionary, so the
-/// per-row test compares integers, never strings.
-struct ColFilter {
+/// A [`RowFilter`] resolved against one store — its dictionary, so the
+/// per-row test compares integers, never strings, and its category
+/// digests, so the per-segment test needs nothing else.
+struct ColFilter<'a> {
     port: Option<u16>,
     /// `None` — no SNI predicate. `Some(None)` — the predicate string is
     /// not in the store's dictionary, so no row can match. `Some(Some(c))`
     /// — match rows whose SNI dictionary code is exactly `c`.
     sni: Option<Option<u32>>,
     /// The structural-category predicate. Evaluated per row through a
-    /// per-fingerprint-code [`CertCat`] table (v2) or a
-    /// [`CategoryOracle`] (v1), and per segment through the manifest's
-    /// category digests when the store carries them.
+    /// per-fingerprint-code [`CertCat`] table, and per segment through
+    /// `digests` when the store carries them.
     categories: Option<CategorySet>,
+    /// The manifest's per-ssl-segment category digests (`None` for a
+    /// digest-less store, whose segments are never category-skipped).
+    digests: Option<&'a [CategoryDigest]>,
 }
 
-impl ColFilter {
-    fn resolve(reader: &DatasetReader, filter: &RowFilter) -> ColResult<ColFilter> {
+/// What [`ColFilter::scan`] decides for one ssl segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SegScan {
+    /// Some row may pass: decode the segment and test each row.
+    Read,
+    /// A zone map proves no row passes the port or SNI predicate.
+    SkipZone,
+    /// The segment's category digest proves no row passes the category
+    /// predicate.
+    SkipCategory,
+}
+
+impl<'a> ColFilter<'a> {
+    fn resolve(reader: &'a DatasetReader, filter: &RowFilter) -> ColResult<ColFilter<'a>> {
         let sni = match &filter.sni {
             Some(s) => Some(reader.dict_lookup(s)?),
             None => None,
@@ -166,6 +121,7 @@ impl ColFilter {
             port: filter.port,
             sni,
             categories: filter.categories,
+            digests: reader.category_digests(),
         })
     }
 
@@ -183,19 +139,36 @@ impl ColFilter {
         }
     }
 
-    /// Whether any row of an ssl segment could pass, judged from zone
-    /// maps alone. Conservative in exactly one direction: `true` may be
-    /// wrong (rows are then tested individually), `false` never is.
-    fn may_match_segment(&self, ssl: &SslSegments<'_>, seg: usize) -> bool {
-        if let Some(p) = self.port {
-            if !ssl.resp_p.meta(seg).zone.contains(u64::from(p)) {
-                return false;
+    /// The one per-segment decision: read an ssl segment, or skip it by
+    /// its category digest (checked first) or its zone maps. Conservative
+    /// in exactly one direction: `Read` may be wrong (rows are then
+    /// tested individually), a skip never is.
+    ///
+    /// A digest skip is sound because the digest was computed by the same
+    /// [`chain_category`] fold over the same complete certificate table
+    /// at write time, and rejected rows are invisible to every counter —
+    /// skipping the segment is exactly equivalent to testing each of its
+    /// rows.
+    fn scan(&self, ssl: &SslSegments<'_>, seg: usize) -> SegScan {
+        if let (Some(set), Some(digests)) = (self.categories, self.digests) {
+            if digests.get(seg).is_some_and(|d| !d.intersects(set)) {
+                return SegScan::SkipCategory;
             }
         }
-        match self.sni {
+        if let Some(p) = self.port {
+            if !ssl.resp_p.meta(seg).zone.contains(u64::from(p)) {
+                return SegScan::SkipZone;
+            }
+        }
+        let sni_may_match = match self.sni {
             None => true,
             Some(None) => false,
             Some(Some(code)) => ssl.sni.meta(seg).zone.may_contain_code(code),
+        };
+        if sni_may_match {
+            SegScan::Read
+        } else {
+            SegScan::SkipZone
         }
     }
 }
@@ -228,36 +201,13 @@ impl SegTally {
     }
 }
 
-/// Enrich off the **v1** x509 columns: first occurrence of a fingerprint
-/// wins, and a duplicate is skipped on the 4-byte fingerprint index
-/// alone — the row's strings are never resolved. Returns the interned
-/// index and the unparseable-row tally.
-fn enrich_columns(cols: &X509Columns<'_>) -> ColResult<(CertIndex, u64)> {
-    let mut cert_index: CertIndex = HashMap::new();
-    let mut unparseable = 0u64;
-    for row in 0..cols.rows {
-        let fp = cols.fingerprint(row)?;
-        if cert_index.contains_key(&fp) {
-            continue;
-        }
-        let rec = cols.record(row)?;
-        match CertRecord::from_record(&rec) {
-            Some(cert) => {
-                cert_index.insert(fp, std::sync::Arc::new(cert));
-            }
-            None => unparseable += 1,
-        }
-    }
-    Ok((cert_index, unparseable))
-}
-
-/// Enrich off the **v2** x509 segments: decode a segment's columns once,
+/// Enrich off the x509 segments: decode a segment's columns once,
 /// then intern each row whose fingerprint *code* is unseen. An interned
 /// code is tracked in a plain bitmap, so duplicate rows — the common
 /// case, since every reappearance of a certificate logs a row — cost one
 /// vector load and no string resolution. A row that fails to parse is
-/// *not* marked seen, so a later duplicate retries it, matching the v1
-/// and streaming enrich semantics exactly.
+/// *not* marked seen, so a later duplicate retries it, matching the
+/// streaming enrich semantics exactly.
 fn enrich_segments(cols: &X509Segments<'_>) -> ColResult<(CertIndex, u64, SegTally)> {
     let mut cert_index: CertIndex = HashMap::new();
     let mut unparseable = 0u64;
@@ -353,115 +303,6 @@ fn var_codes<'a>(dat: &'a [u8], start: u64, end: u64, what: &str, row: u64) -> C
     Ok(bytes)
 }
 
-/// Fold rows `lo..hi` of a **v1** table into per-chain accumulators.
-/// This is the one body both the sequential and the range-sharded
-/// parallel v1 path run.
-fn fold_range(
-    cols: &SslColumns<'_>,
-    lo: u64,
-    hi: u64,
-    filter: &ColFilter,
-    oracle: Option<&CategoryOracle>,
-    cert_index: &CertIndex,
-) -> ColResult<(HashMap<ChainKey, ChainAccum>, IngestCounts)> {
-    let mut accums: HashMap<ChainKey, ChainAccum> = HashMap::new();
-    let mut counts = IngestCounts::default();
-    let mut fps = Vec::new();
-    for row in lo..hi {
-        if !filter.admits(cols.resp_p(row), cols.sni_code(row)) {
-            continue;
-        }
-        cols.chain_fps_into(row, &mut fps)?;
-        // Same invisibility rule as the streaming reference: a
-        // category-rejected row moves no counter, not even `records`.
-        if let Some(oracle) = oracle {
-            if !oracle.admits(&fps) {
-                continue;
-            }
-        }
-        counts.records += 1;
-        if fps.is_empty() {
-            counts.no_chain += 1;
-            continue;
-        }
-        if !fps.iter().all(|fp| cert_index.contains_key(fp)) {
-            counts.unresolvable += 1;
-            continue;
-        }
-        // Probe with the borrowed slice; allocate a key only on first
-        // sight of a chain (same discipline as the streaming fold).
-        if !accums.contains_key(fps.as_slice()) {
-            accums.insert(ChainKey(fps.clone()), ChainAccum::default());
-        }
-        let entry = accums
-            .get_mut(fps.as_slice())
-            .expect("present or just inserted");
-        let sni = cols.sni(row)?;
-        entry.usage.add(
-            cols.established(row),
-            sni.is_some(),
-            cols.resp_p(row),
-            cols.orig_h(row),
-            1.0,
-        );
-        if let Some(sni) = sni {
-            entry.snis.insert(sni.to_string());
-        }
-    }
-    Ok((accums, counts))
-}
-
-/// Ingest a **v1** ssl table: contiguous row ranges per worker, partials
-/// merged in worker-index order, then one classification pass.
-fn ingest_columns(
-    pipe: &Pipeline<'_>,
-    cols: &SslColumns<'_>,
-    filter: &ColFilter,
-    oracle: Option<&CategoryOracle>,
-    cert_index: &CertIndex,
-    threads: usize,
-) -> ColResult<(Vec<Prepared>, IngestCounts)> {
-    let rows = cols.rows;
-    let (accums, counts) = if threads <= 1 || rows < 2 {
-        fold_range(cols, 0, rows, filter, oracle, cert_index)?
-    } else {
-        let per = rows.div_ceil(threads as u64);
-        let parts: Vec<ColResult<_>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|w| {
-                    let lo = (w * per).min(rows);
-                    let hi = ((w + 1) * per).min(rows);
-                    scope.spawn(move || fold_range(cols, lo, hi, filter, oracle, cert_index))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("columnar ingest worker panicked"))
-                .collect()
-        });
-        let mut merged: HashMap<ChainKey, ChainAccum> = HashMap::new();
-        let mut counts = IngestCounts::default();
-        for part in parts {
-            let (accums, c) = part?;
-            counts.records += c.records;
-            counts.no_chain += c.no_chain;
-            counts.unresolvable += c.unresolvable;
-            // srclint: commutative -- per-chain merge into a keyed map; ChainAccum::merge is commutative at unit weight, so worker-map iteration order is invisible
-            for (key, accum) in accums {
-                match merged.get_mut(&key) {
-                    Some(existing) => existing.merge(accum),
-                    None => {
-                        merged.insert(key, accum);
-                    }
-                }
-            }
-        }
-        (merged, counts)
-    };
-    pipe.obs.finish_progress(counts.records);
-    Ok((categorize::prepare(pipe, accums, cert_index), counts))
-}
-
 /// Per-chain accumulator keyed by fingerprint-*code* sequence. Identical
 /// aggregates to [`ChainAccum`], but nothing is resolved to strings or
 /// 32-byte fingerprints during the fold — codes are rekeyed once per
@@ -480,25 +321,18 @@ impl CodeAccum {
     }
 }
 
-/// Fold segments `seg_lo..seg_hi` of a **v2** ssl table. Category
-/// digests and zone maps veto whole segments first; surviving segments
-/// decode only the five columns the fold touches, into scratch buffers
-/// reused across segments.
+/// Fold segments `seg_lo..seg_hi` of the ssl table. [`ColFilter::scan`]
+/// vetoes whole segments first; surviving segments decode only the five
+/// columns the fold touches, into scratch buffers reused across
+/// segments.
 ///
 /// `cats` maps every fingerprint code to its [`CertCat`] (with
-/// `Unresolved` doubling as the resolvability bit); `digests` is the
-/// manifest's per-segment category digest array when the store carries
-/// one. A digest veto is sound because the digest was computed by the
-/// same [`chain_category`] fold over the same complete certificate
-/// table at write time, and rejected rows are invisible to every
-/// counter — skipping the segment is exactly equivalent to testing each
-/// of its rows.
+/// `Unresolved` doubling as the resolvability bit).
 fn fold_segments(
     ssl: &SslSegments<'_>,
     seg_lo: usize,
     seg_hi: usize,
-    filter: &ColFilter,
-    digests: Option<&[CategoryDigest]>,
+    filter: &ColFilter<'_>,
     cats: &[CertCat],
 ) -> ColResult<(HashMap<Vec<u32>, CodeAccum>, IngestCounts, SegTally)> {
     let mut accums: HashMap<Vec<u32>, CodeAccum> = HashMap::new();
@@ -508,16 +342,10 @@ fn fold_segments(
     let (mut sni, mut orig_h, mut chain_idx) = (Vec::new(), Vec::new(), Vec::new());
     let mut codes: Vec<u32> = Vec::new();
     for seg in seg_lo..seg_hi {
-        if let (Some(set), Some(digests)) = (filter.categories, digests) {
-            // Digest-less segments (None overall) are never skipped.
-            if digests.get(seg).is_some_and(|d| !d.intersects(set)) {
-                tally.skipped += 1;
-                tally.skipped_category += 1;
-                continue;
-            }
-        }
-        if !filter.may_match_segment(ssl, seg) {
+        let scan = filter.scan(ssl, seg);
+        if scan != SegScan::Read {
             tally.skipped += 1;
+            tally.skipped_category += u64::from(scan == SegScan::SkipCategory);
             continue;
         }
         let columns = [
@@ -597,14 +425,13 @@ fn fold_segments(
     Ok((accums, counts, tally))
 }
 
-/// Ingest a **v2** ssl table: contiguous *segment* ranges per worker,
+/// Ingest the ssl table: contiguous *segment* ranges per worker,
 /// partials merged in worker-index order, code keys resolved once per
 /// distinct chain, then one classification pass.
 fn ingest_segments(
     pipe: &Pipeline<'_>,
     ssl: &SslSegments<'_>,
-    filter: &ColFilter,
-    digests: Option<&[CategoryDigest]>,
+    filter: &ColFilter<'_>,
     cert_index: &CertIndex,
     threads: usize,
 ) -> ColResult<(Vec<Prepared>, IngestCounts, SegTally)> {
@@ -619,7 +446,7 @@ fn ingest_segments(
     }
     let segs = ssl.segment_count();
     let (code_accums, counts, tally) = if threads <= 1 || segs < 2 {
-        fold_segments(ssl, 0, segs, filter, digests, &cats)?
+        fold_segments(ssl, 0, segs, filter, &cats)?
     } else {
         let per = segs.div_ceil(threads);
         let cats = &cats;
@@ -628,7 +455,7 @@ fn ingest_segments(
                 .map(|w| {
                     let lo = (w * per).min(segs);
                     let hi = ((w + 1) * per).min(segs);
-                    scope.spawn(move || fold_segments(ssl, lo, hi, filter, digests, cats))
+                    scope.spawn(move || fold_segments(ssl, lo, hi, filter, cats))
                 })
                 .collect();
             handles
@@ -659,7 +486,7 @@ fn ingest_segments(
     };
     // Rekey code sequences to fingerprint chains and SNI codes to
     // strings — once per distinct chain, the only string work in the
-    // whole v2 ingest.
+    // whole ingest.
     let mut accums: HashMap<ChainKey, ChainAccum> = HashMap::new();
     // srclint: commutative -- map-to-map rekeying; the code->fingerprint mapping is injective, so each source entry lands in a distinct key and iteration order is invisible
     for (code_key, code_accum) in code_accums {

@@ -3,7 +3,7 @@
 //! ```text
 //! certchain generate --out <dir> [--profile quick|default] [--seed N] [--threads N]
 //!                    [--format tsv|columnar] [--progress] [--metrics-json <path>]
-//! certchain convert  --dir <dir> [--force] [--store-version N] [--segment-rows N]
+//! certchain convert  --dir <dir> [--force] [--segment-rows N]
 //!                    [--metrics-json <path>]
 //! certchain compact  --dir <dir> [--segment-rows N] [--metrics-json <path>]
 //! certchain analyze  --dir <dir> [--threads N] [--json] [--format tsv|columnar]
@@ -28,19 +28,18 @@ USAGE:
       Generate a synthetic campus dataset (logs + trust PEMs + CT corpus).
       --format columnar writes the mmap-backed columnar store instead of
       Zeek TSV logs; analyzing either yields byte-identical reports.
-  certchain convert --dir <dir> [--force] [--store-version 1|2]
-                    [--segment-rows N] [--metrics-json <path>]
+  certchain convert --dir <dir> [--force] [--segment-rows N]
+                    [--metrics-json <path>]
       Re-encode <dir>/ssl.log + <dir>/x509.log as <dir>/colstore/, the
       columnar store `analyze` then reads without a parse stage. Refuses
       to overwrite an existing store unless --force is given.
-      --store-version 1 writes the legacy raw-column layout;
-      --segment-rows tunes the v2 row-band size.
+      --segment-rows tunes the row-band size. A store of an older
+      format version is rebuilt with `convert --force`.
   certchain compact --dir <dir> [--segment-rows N] [--metrics-json <path>]
-      Rewrite <dir>/colstore/ in the current segmented (v2) format —
-      the live-migration path for v1 stores, and for v2 stores a
-      recompaction that re-encodes every column with the newest codecs
-      and recomputes the per-segment category digests. The original
-      store is replaced only after the new one is complete.
+      Re-encode <dir>/colstore/: every column with the newest codecs,
+      re-segmented to --segment-rows, and the per-segment category
+      digests recomputed. The original store is replaced only after the
+      new one is complete.
   certchain analyze --dir <dir> [--json] [--threads N] [--format tsv|columnar]
                     [--filter-port N] [--filter-sni <name>]
                     [--filter-category <list>]
@@ -53,8 +52,8 @@ USAGE:
       output is identical for every value.
       --filter-port / --filter-sni / --filter-category restrict the
       analysis to matching connections (filtered rows are invisible); on
-      a v2 store the filters skip whole row bands via zone maps and
-      per-segment category digests. --filter-category takes a comma-
+      the columnar store the filters skip whole row bands via zone maps
+      and per-segment category digests. --filter-category takes a comma-
       separated list of structural chain categories out of none /
       incomplete / self_signed / public_only / non_public_only / hybrid.
 
@@ -144,7 +143,6 @@ fn run(args: &[String]) -> CliResult<String> {
             let opts = convert::ConvertOptions {
                 metrics_json: flag_value(args, "--metrics-json")?.map(PathBuf::from),
                 force: has_flag(args, "--force"),
-                store_version: parse_u64_flag(args, "--store-version")?,
                 segment_rows: parse_u64_flag(args, "--segment-rows")?,
             };
             convert::convert_opts(&PathBuf::from(dir), &opts)

@@ -1,15 +1,14 @@
-//! `certchain compact`: rewrite a dataset's columnar store in the
-//! current (v2) segmented format — the live-migration path for stores
-//! written by older builds, and a re-segmenter for tuning
-//! `--segment-rows`. Recompacting a store that is already v2 is a
-//! supported path too: every column re-encodes under the newest codec
-//! set (picking up codecs added since the store was written, e.g. the
-//! frame-of-reference packing for `ssl.orig_h`) and the per-segment
+//! `certchain compact`: re-encode a dataset's columnar store. Every
+//! column re-encodes under the newest codec set (picking up codecs added
+//! since the store was written, e.g. the frame-of-reference packing for
+//! `ssl.orig_h`), `--segment-rows` re-segments it, and the per-segment
 //! category digests are recomputed, upgrading digest-less stores in
-//! place.
+//! place. A store of any other format version is refused untouched; the
+//! Zeek TSV logs stay the source of truth, so `certchain convert`
+//! rebuilds it.
 //!
 //! The rewrite never edits the store in place. Records stream from the
-//! open store (either version) into a fresh writer in a sibling
+//! open store into a fresh writer in a sibling
 //! temporary directory; the new manifest is written last, and only then
 //! does the new directory replace the old one by rename. An interrupted
 //! compaction leaves the original store untouched and at worst a
@@ -21,7 +20,9 @@
 use crate::catdigest::CatCodes;
 use crate::dataset::{colstore_dir, load_trust};
 use crate::{io_ctx, CliError, CliResult};
-use certchain_colstore::{DatasetReader, DatasetWriter, MapMode, WriterOptions};
+use certchain_colstore::{
+    DatasetReader, DatasetWriter, MapMode, WriterOptions, DEFAULT_SEGMENT_ROWS,
+};
 use certchain_obs::Registry;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -35,8 +36,8 @@ pub struct CompactOptions {
     pub segment_rows: Option<u64>,
 }
 
-/// Compact `<dir>/colstore/` into the current format. Returns a short
-/// human-readable summary including the size change.
+/// Re-encode `<dir>/colstore/`. Returns a short human-readable summary
+/// including the size change.
 pub fn compact(dir: &Path) -> CliResult<String> {
     compact_opts(dir, &CompactOptions::default())
 }
@@ -90,21 +91,13 @@ pub fn compact_opts(dir: &Path, opts: &CompactOptions) -> CliResult<String> {
     if trust.is_none() {
         notices.push_str("notice: trust material unavailable; category digests omitted\n");
     }
-    let (from_version, before, after) = {
+    let (before, after) = {
         let _span = registry.stage("compact_total");
         let reader = DatasetReader::open(&store, MapMode::Auto)
             .map_err(|e| CliError::Invalid(format!("{}: {e}", store.display())))?;
-        let from_version = reader.format_version();
-        if from_version == certchain_colstore::VERSION {
-            notices.push_str(
-                "notice: store is already v2; re-encoding with current codecs and fresh category digests\n",
-            );
-        }
         let before = dir_size(&store)?;
-        let defaults = WriterOptions::default();
         let writer_opts = WriterOptions {
-            segment_rows: opts.segment_rows.unwrap_or(defaults.segment_rows),
-            ..defaults
+            segment_rows: opts.segment_rows.unwrap_or(DEFAULT_SEGMENT_ROWS),
         };
         let mut writer = DatasetWriter::create_with(&tmp, writer_opts).map_err(col_err)?;
         // Same table order as `convert`: x509 first, so shared-table
@@ -136,7 +129,7 @@ pub fn compact_opts(dir: &Path, opts: &CompactOptions) -> CliResult<String> {
             .map_err(io_ctx(format!("moving {} aside", store.display())))?;
         std::fs::rename(&tmp, &store).map_err(io_ctx(format!("installing {}", store.display())))?;
         std::fs::remove_dir_all(&old).map_err(io_ctx(format!("removing {}", old.display())))?;
-        (from_version, before, dir_size(&store)?)
+        (before, dir_size(&store)?)
     };
     registry.gauge("compact.bytes_before").set(before);
     registry.gauge("compact.bytes_after").set(after);
@@ -151,9 +144,8 @@ pub fn compact_opts(dir: &Path, opts: &CompactOptions) -> CliResult<String> {
         1.0
     };
     Ok(format!(
-        "{notices}compacted {} from v{from_version} to v{}: {before} -> {after} bytes ({ratio:.2}x)\n",
+        "{notices}compacted {} with current codecs: {before} -> {after} bytes ({ratio:.2}x)\n",
         store.display(),
-        certchain_colstore::VERSION,
     ))
 }
 

@@ -1,7 +1,8 @@
 //! TSV-vs-columnar parity: `certchain convert` followed by a columnar
 //! `analyze` must reproduce the TSV analysis byte-for-byte — same JSON
-//! summary, same report tables, at every thread count — and a stale
-//! store version must fail loudly instead of silently falling back.
+//! summary, same report tables, at every thread count — and a retired
+//! or unknown store version must fail loudly instead of silently falling
+//! back.
 
 use certchain_cli::dataset::DatasetFormat;
 use certchain_cli::{analyze, convert, generate};
@@ -113,34 +114,66 @@ fn copy_dataset(tag: &str) -> PathBuf {
     dir
 }
 
+/// Every file of a flat store directory, by name.
+fn store_bytes(store: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(store)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                std::fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn version_mismatch_fails_instead_of_falling_back() {
-    // Copy the dataset so the shared one keeps its valid store.
-    let dir = copy_dataset("ver");
-    let manifest = dir.join("colstore/dataset.json");
-    let text = std::fs::read_to_string(&manifest).unwrap();
-    let bumped = text.replace("\"version\": 2", "\"version\": 99");
-    assert_ne!(text, bumped, "manifest carries the version field");
-    std::fs::write(&manifest, bumped).unwrap();
+    use certchain_cli::compact;
+    // The retired raw-column v1 and a future version fail alike.
+    for version in [1u64, 99] {
+        // Copy the dataset so the shared one keeps its valid store.
+        let dir = copy_dataset(&format!("ver{version}"));
+        let store = dir.join("colstore");
+        let manifest = store.join("dataset.json");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let bumped = text.replace("\"version\": 2", &format!("\"version\": {version}"));
+        assert_ne!(text, bumped, "manifest carries the version field");
+        std::fs::write(&manifest, bumped).unwrap();
+        let before = store_bytes(&store);
 
-    // Auto-detection sees the manifest, reads a future version, and must
-    // error — analyzing the TSVs anyway would hide a real format skew.
-    let err = analyze::analyze_opts(&dir, &analyze::AnalyzeOptions::default()).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("expected 1"), "{msg}");
-    assert!(msg.contains("found 99"), "{msg}");
+        // Auto-detection sees the manifest, reads a foreign version, and
+        // must error — analyzing the TSVs anyway would hide a real skew.
+        let err = analyze::analyze_opts(&dir, &analyze::AnalyzeOptions::default()).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("expected 2"), "{msg}");
+        assert!(msg.contains(&format!("found {version}")), "{msg}");
+        assert!(msg.contains("certchain convert"), "{msg}");
 
-    // An explicit TSV override still works on the same directory.
-    let report = analyze::analyze_opts(
-        &dir,
-        &analyze::AnalyzeOptions {
-            format: Some(DatasetFormat::Tsv),
-            ..analyze::AnalyzeOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(report.contains("Chain census"));
-    let _ = std::fs::remove_dir_all(&dir);
+        // Neither an append nor a compaction touches such a store.
+        let msg = match certchain_colstore::DatasetWriter::append_open(&store) {
+            Ok(_) => panic!("append_open must refuse a v{version} store"),
+            Err(e) => e.to_string(),
+        };
+        assert!(msg.contains("expected 2"), "{msg}");
+        let msg = compact::compact(&dir).unwrap_err().to_string();
+        assert!(msg.contains("expected 2"), "{msg}");
+        assert!(msg.contains("certchain convert"), "{msg}");
+        assert_eq!(store_bytes(&store), before, "v{version} store was modified");
+
+        // An explicit TSV override still works on the same directory.
+        let report = analyze::analyze_opts(
+            &dir,
+            &analyze::AnalyzeOptions {
+                format: Some(DatasetFormat::Tsv),
+                ..analyze::AnalyzeOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(report.contains("Chain census"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -212,51 +245,6 @@ fn convert_refuses_to_overwrite_without_force() {
     )
     .unwrap();
     assert!(summary.contains("ssl rows"), "{summary}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn compact_migrates_v1_stores_with_identical_reports() {
-    use certchain_cli::compact;
-    let dir = copy_dataset("compact");
-    // Rewrite the store in the legacy v1 layout first.
-    convert::convert_opts(
-        &dir,
-        &convert::ConvertOptions {
-            force: true,
-            store_version: Some(1),
-            ..convert::ConvertOptions::default()
-        },
-    )
-    .unwrap();
-    let manifest = certchain_colstore::Manifest::load(&dir.join("colstore")).unwrap();
-    assert_eq!(manifest.version, 1);
-    let report_at = |threads: usize| {
-        analyze::analyze_opts(
-            &dir,
-            &analyze::AnalyzeOptions {
-                threads,
-                json: true,
-                format: Some(DatasetFormat::Columnar),
-                ..analyze::AnalyzeOptions::default()
-            },
-        )
-        .unwrap()
-    };
-    let v1_report = report_at(1);
-    // Live migration: the v1 store analyzes without any re-conversion,
-    // and `compact` then rewrites it as v2 with byte-identical output.
-    let summary = compact::compact(&dir).unwrap();
-    assert!(summary.contains("from v1 to v2"), "{summary}");
-    let manifest = certchain_colstore::Manifest::load(&dir.join("colstore")).unwrap();
-    assert_eq!(manifest.version, 2);
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            report_at(threads),
-            v1_report,
-            "diverged at {threads} threads"
-        );
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -349,13 +337,35 @@ fn compact_preserves_digests_byte_for_byte() {
     let digest_json = |d: &[certchain_colstore::CategoryDigest]| {
         certchain_obs::json::JsonValue::Arr(d.iter().map(|d| d.to_json()).collect()).to_pretty()
     };
+    let report_at = |threads: usize| {
+        analyze::analyze_opts(
+            &dir,
+            &analyze::AnalyzeOptions {
+                threads,
+                json: true,
+                format: Some(DatasetFormat::Columnar),
+                ..analyze::AnalyzeOptions::default()
+            },
+        )
+        .unwrap()
+    };
+    let before_report = report_at(1);
     let summary = compact::compact(&dir).unwrap();
-    assert!(summary.contains("already v2"), "{summary}");
+    assert!(summary.contains("with current codecs"), "{summary}");
     let manifest = certchain_colstore::Manifest::load(&store).unwrap();
     let after = manifest
         .category_digests
         .expect("recompaction recomputes digests");
     assert_eq!(digest_json(&before), digest_json(&after));
+    // The recompacted store analyzes byte-identically at every thread
+    // count.
+    for threads in [1usize, 2, 8] {
+        assert_eq!(
+            report_at(threads),
+            before_report,
+            "diverged at {threads} threads"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -422,24 +432,10 @@ fn category_filter_skips_segments_and_matches_tsv() {
 
 #[test]
 fn digestless_stores_analyze_correctly_and_never_skip() {
-    // A v1 store has no digests at all: category filtering must fall
-    // back to per-row tests and still match the TSV oracle.
-    let dir = copy_dataset("cat-v1");
-    convert::convert_opts(
-        &dir,
-        &convert::ConvertOptions {
-            force: true,
-            store_version: Some(1),
-            ..convert::ConvertOptions::default()
-        },
-    )
-    .unwrap();
-    category_parity(&dir);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // A digest-less v2 store (written by a pre-digest build, simulated
-    // by streaming the store through a writer with no provider): the
-    // fold must read every segment rather than guess.
+    // A digest-less store (written by a pre-digest build, simulated by
+    // streaming the store through a writer with no provider): category
+    // filtering must fall back to per-row tests, still match the TSV
+    // oracle, and read every segment rather than guess.
     let dir = copy_dataset("cat-v2nodigest");
     let store = certchain_cli::dataset::colstore_dir(&dir);
     let rewrite = store.with_file_name("colstore.rewrite");
@@ -449,10 +445,7 @@ fn digestless_stores_analyze_correctly_and_never_skip() {
                 .unwrap();
         let mut writer = certchain_colstore::DatasetWriter::create_with(
             &rewrite,
-            certchain_colstore::WriterOptions {
-                segment_rows: 32,
-                ..certchain_colstore::WriterOptions::default()
-            },
+            certchain_colstore::WriterOptions { segment_rows: 32 },
         )
         .unwrap();
         for rec in reader.x509_iter().unwrap() {

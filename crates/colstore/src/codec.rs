@@ -1,4 +1,4 @@
-//! Per-segment integer codecs for the v2 format.
+//! Per-segment integer codecs for the columnar store.
 //!
 //! Every fixed-width column value is widened to `u64` before encoding, so
 //! one codec set covers u8/u16/u32/u64 columns alike. Five encodings:

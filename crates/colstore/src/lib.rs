@@ -5,8 +5,9 @@
 //! # Layout
 //!
 //! A columnar store lives in a `colstore/` directory next to the dataset
-//! sidecars. One file per field, fixed-width where the field is
-//! fixed-width, plus three shared tables:
+//! sidecars. One file per field, plus three shared tables. The widths
+//! below are each fixed-width column's logical width; on disk those
+//! columns are stored as encoded segments (see *Segments* below):
 //!
 //! ```text
 //! colstore/
@@ -47,13 +48,11 @@
 //! var-length column — the writer's memory stays O(distinct strings +
 //! distinct fingerprints), never O(rows).
 //!
-//! # Format versions
+//! # Segments
 //!
-//! The layout above is **v1**: every fixed-width column is raw
-//! little-endian values. **v2** (the current default) keeps the same
-//! file set but stores each fixed-width column as a sequence of encoded
-//! *segments* — row bands of `segment_rows` rows (the last band of each
-//! table may be shorter), each independently compressed
+//! Every fixed-width column is a sequence of encoded *segments* — row
+//! bands of `segment_rows` rows (the last band of each table may be
+//! shorter), each independently compressed
 //! ([`codec::Encoding`]: plain / packed / delta / RLE, smallest wins
 //! deterministically) and summarised by a [`zonemap::ZoneMap`] (min/max,
 //! plus a 256-bit dictionary-presence bitmap for `ssl.sni`) recorded in
@@ -77,15 +76,16 @@
 //! `SAFETY:` comment enforced by srclint); everywhere else, and on
 //! request, a positioned-read fallback loads each column with `pread`.
 //!
-//! Both versions are read transparently ([`DatasetReader::format_version`]
-//! dispatches; only *unknown* versions are a hard error). The reader
+//! One format version is readable, [`VERSION`]; a manifest of any other
+//! version is a hard error telling the user to re-run `certchain
+//! convert` (the Zeek TSV logs stay the source of truth). The reader
 //! exposes the same record iterators as the streaming Zeek readers
 //! ([`DatasetReader::ssl_iter`] / [`DatasetReader::x509_iter`] yield
 //! `Result<SslRecord, _>` / `Result<X509Record, _>`), so
-//! `Pipeline::analyze_stream` runs unchanged — plus raw column accessors
-//! ([`SslColumns`] / [`X509Columns`] on v1, [`SslSegments`] /
-//! [`X509Segments`] on v2) so the analyze hot path can fold straight off
-//! the mapped bytes without constructing records at all.
+//! `Pipeline::analyze_stream` runs unchanged — plus the segmented column
+//! views ([`SslSegments`] / [`X509Segments`]) so the analyze hot path
+//! can fold straight off the mapped bytes without constructing records
+//! at all.
 
 pub mod category;
 pub mod checkpoint;
@@ -100,11 +100,9 @@ pub mod zonemap;
 
 pub use category::{Category, CategoryDigest, CategorySet, CATEGORY_COUNT, CATEGORY_NAMES};
 pub use checkpoint::{Checkpoint, CheckpointWriter, CHECKPOINT_MANIFEST_FILE, CHECKPOINT_SCHEMA};
-pub use manifest::{Manifest, MANIFEST_FILE, SCHEMA, STORE_DIR, VERSION, VERSION_V1};
+pub use manifest::{Manifest, MANIFEST_FILE, SCHEMA, STORE_DIR, VERSION};
 pub use map::{MapMode, Mapping};
-pub use read::{
-    DatasetReader, SegmentedColumn, SslColumns, SslSegments, X509Columns, X509Segments,
-};
+pub use read::{DatasetReader, SegmentedColumn, SslIter, SslSegments, X509Iter, X509Segments};
 pub use segment::{SegmentMeta, DEFAULT_SEGMENT_ROWS};
 pub use write::{DatasetWriter, WriterOptions};
 pub use zonemap::ZoneMap;

@@ -2,12 +2,11 @@
 //! written last (so a crashed writer never leaves a manifest pointing at
 //! incomplete columns) and validated first.
 //!
-//! Two format versions are readable. v1 records only per-file byte
-//! lengths; v2 additionally records `segment_rows` and, for every
-//! fixed-width column, the per-segment metadata (rows, encoded bytes,
-//! encoding, zone map) that the segmented reader and the zone-map skip
-//! rule consume. Unknown versions are a hard error — never a silent
-//! fallback.
+//! The manifest records per-file byte lengths, `segment_rows` and, for
+//! every fixed-width column, the per-segment metadata (rows, encoded
+//! bytes, encoding, zone map) that the segmented reader and the zone-map
+//! skip rule consume. Any version other than [`VERSION`] is a hard error
+//! naming `certchain convert` — never a silent fallback.
 
 use crate::category::CategoryDigest;
 use crate::codec;
@@ -21,11 +20,8 @@ use std::path::Path;
 /// Schema identifier stamped into every manifest.
 pub const SCHEMA: &str = "certchain-colstore/v1";
 
-/// Current format version. Bump on any layout change.
+/// The format version, the only one readable. Bump on any layout change.
 pub const VERSION: u64 = 2;
-
-/// The legacy one-file-per-field format, still fully readable.
-pub const VERSION_V1: u64 = 1;
 
 /// Manifest file name inside the store directory.
 pub const MANIFEST_FILE: &str = "dataset.json";
@@ -36,7 +32,7 @@ pub const STORE_DIR: &str = "colstore";
 /// Parsed and schema-checked `dataset.json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Format version ([`VERSION_V1`] or [`VERSION`]).
+    /// Format version (always [`VERSION`] once parsed).
     pub version: u64,
     /// Rows in the ssl table.
     pub ssl_rows: u64,
@@ -48,12 +44,11 @@ pub struct Manifest {
     pub fp_entries: u64,
     /// Byte length of every column file, keyed by file name.
     pub columns: BTreeMap<String, u64>,
-    /// Nominal rows per segment (v2 only; 0 in v1 manifests).
+    /// Nominal rows per segment.
     pub segment_rows: u64,
-    /// Per-segment metadata for every fixed-width column (v2 only;
-    /// empty in v1 manifests).
+    /// Per-segment metadata for every fixed-width column.
     pub segments: BTreeMap<String, Vec<SegmentMeta>>,
-    /// Optional per-ssl-segment chain-category digests (v2 only). When
+    /// Optional per-ssl-segment chain-category digests. When
     /// present, one digest per ssl row band, each covering exactly that
     /// band's rows — all-or-nothing: a store either digests every ssl
     /// segment or records none, so the skip rule never has to reason
@@ -81,29 +76,27 @@ impl Manifest {
             ),
             ("fp_entries".into(), JsonValue::Num(self.fp_entries as f64)),
             ("columns".into(), JsonValue::Obj(columns)),
-        ];
-        if self.version >= VERSION {
-            fields.push((
+            (
                 "segment_rows".into(),
                 JsonValue::Num(self.segment_rows as f64),
+            ),
+        ];
+        let segments = self
+            .segments
+            .iter()
+            .map(|(name, metas)| {
+                (
+                    name.clone(),
+                    JsonValue::Arr(metas.iter().map(SegmentMeta::to_json).collect()),
+                )
+            })
+            .collect();
+        fields.push(("segments".into(), JsonValue::Obj(segments)));
+        if let Some(digests) = &self.category_digests {
+            fields.push((
+                "category_digests".into(),
+                JsonValue::Arr(digests.iter().map(CategoryDigest::to_json).collect()),
             ));
-            let segments = self
-                .segments
-                .iter()
-                .map(|(name, metas)| {
-                    (
-                        name.clone(),
-                        JsonValue::Arr(metas.iter().map(SegmentMeta::to_json).collect()),
-                    )
-                })
-                .collect();
-            fields.push(("segments".into(), JsonValue::Obj(segments)));
-            if let Some(digests) = &self.category_digests {
-                fields.push((
-                    "category_digests".into(),
-                    JsonValue::Arr(digests.iter().map(CategoryDigest::to_json).collect()),
-                ));
-            }
         }
         JsonValue::Obj(fields)
     }
@@ -123,10 +116,10 @@ impl Manifest {
             .get("version")
             .and_then(JsonValue::as_u64)
             .ok_or_else(|| ColError::Format("manifest missing numeric \"version\"".into()))?;
-        if version != VERSION_V1 && version != VERSION {
+        if version != VERSION {
             return Err(ColError::Format(format!(
-                "columnar dataset version mismatch: expected {VERSION_V1} or {VERSION}, \
-                 found {version} (re-run `certchain convert` or regenerate the dataset)"
+                "columnar dataset version mismatch: expected {VERSION}, found {version} \
+                 (re-run `certchain convert` or regenerate the dataset)"
             )));
         }
         let field = |name: &str| {
@@ -159,36 +152,22 @@ impl Manifest {
             dict_entries: field("dict_entries")?,
             fp_entries: field("fp_entries")?,
             columns,
-            segment_rows: if version >= VERSION {
-                field("segment_rows")?
-            } else {
-                0
-            },
-            segments: if version >= VERSION {
-                parse_segments(doc)?
-            } else {
-                BTreeMap::new()
-            },
-            category_digests: if version >= VERSION {
-                parse_category_digests(doc)?
-            } else {
-                None
-            },
+            segment_rows: field("segment_rows")?,
+            segments: parse_segments(doc)?,
+            category_digests: parse_category_digests(doc)?,
         };
-        if manifest.version >= VERSION {
-            manifest.validate_segments()?;
-        }
+        manifest.validate_segments()?;
         Ok(manifest)
     }
 
-    /// Structural checks only a v2 manifest needs: every fixed-width
+    /// Structural segment checks: every fixed-width
     /// column has a segment list whose rows and bytes sum to the table
     /// row count and the recorded file length, all columns of one table
     /// share identical row banding, and encodings are self-consistent.
     fn validate_segments(&self) -> ColResult<()> {
         if self.segment_rows == 0 {
             return Err(ColError::Format(
-                "v2 manifest has segment_rows 0 (must be at least 1)".into(),
+                "manifest has segment_rows 0 (must be at least 1)".into(),
             ));
         }
         let mut ssl_bands: Option<Vec<u64>> = None;
@@ -196,9 +175,7 @@ impl Manifest {
         for (name, width) in COLUMNS {
             let Some(width) = width else { continue };
             let metas = self.segments.get(*name).ok_or_else(|| {
-                ColError::Format(format!(
-                    "v2 manifest is missing segments for column {name:?}"
-                ))
+                ColError::Format(format!("manifest is missing segments for column {name:?}"))
             })?;
             let rows = crate::rows_for(name, self.ssl_rows, self.x509_rows)
                 .expect("fixed-width columns are table columns");
@@ -311,7 +288,7 @@ fn parse_segments(doc: &JsonValue) -> ColResult<BTreeMap<String, Vec<SegmentMeta
     let obj = doc
         .get("segments")
         .and_then(JsonValue::as_obj)
-        .ok_or_else(|| ColError::Format("v2 manifest missing \"segments\" object".into()))?;
+        .ok_or_else(|| ColError::Format("manifest missing \"segments\" object".into()))?;
     let mut out = BTreeMap::new();
     for (name, value) in obj {
         let arr = value.as_arr().ok_or_else(|| {
@@ -332,24 +309,18 @@ mod tests {
     use crate::codec::Encoding;
     use crate::zonemap::ZoneMap;
 
-    fn sample_v1() -> Manifest {
-        Manifest {
-            version: VERSION_V1,
+    fn sample() -> Manifest {
+        let mut m = Manifest {
+            version: VERSION,
             ssl_rows: 10,
             x509_rows: 4,
             dict_entries: 7,
             fp_entries: 3,
             columns: COLUMNS.iter().map(|(n, _)| (n.to_string(), 0)).collect(),
-            segment_rows: 0,
+            segment_rows: 16,
             segments: BTreeMap::new(),
             category_digests: None,
-        }
-    }
-
-    fn sample_v2() -> Manifest {
-        let mut m = sample_v1();
-        m.version = VERSION;
-        m.segment_rows = 16;
+        };
         for (name, width) in COLUMNS {
             let Some(width) = width else { continue };
             let rows = crate::rows_for(name, m.ssl_rows, m.x509_rows).unwrap();
@@ -375,39 +346,30 @@ mod tests {
     }
 
     #[test]
-    fn v1_round_trips_through_json() {
-        let m = sample_v1();
-        let back = Manifest::from_json(&m.to_json()).unwrap();
-        assert_eq!(back, m);
-        let text = m.to_json().to_pretty();
-        assert!(
-            !text.contains("segments"),
-            "v1 manifests must not grow v2 fields: {text}"
-        );
-    }
-
-    #[test]
     fn v2_round_trips_through_json() {
-        let m = sample_v2();
+        let m = sample();
         let back = Manifest::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);
     }
 
     #[test]
     fn version_mismatch_names_expected_and_found() {
-        let mut doc = sample_v1().to_json();
-        if let JsonValue::Obj(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k == "version" {
-                    *v = JsonValue::Num(99.0);
+        // The retired raw-column v1 and a future version fail alike.
+        for version in [1u64, 99] {
+            let mut doc = sample().to_json();
+            if let JsonValue::Obj(fields) = &mut doc {
+                for (k, v) in fields.iter_mut() {
+                    if k == "version" {
+                        *v = JsonValue::Num(version as f64);
+                    }
                 }
             }
+            let err = Manifest::from_json(&doc).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("expected 2"), "{msg}");
+            assert!(msg.contains(&format!("found {version}")), "{msg}");
+            assert!(msg.contains("certchain convert"), "{msg}");
         }
-        let err = Manifest::from_json(&doc).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("expected 1"), "{msg}");
-        assert!(msg.contains("found 99"), "{msg}");
-        assert!(msg.contains("certchain convert"), "{msg}");
     }
 
     #[test]
@@ -423,7 +385,7 @@ mod tests {
 
     #[test]
     fn missing_column_is_rejected() {
-        let mut m = sample_v1();
+        let mut m = sample();
         m.columns.remove("ssl.ts");
         let msg = Manifest::from_json(&m.to_json()).unwrap_err().to_string();
         assert!(msg.contains("ssl.ts"), "{msg}");
@@ -431,7 +393,7 @@ mod tests {
 
     #[test]
     fn v2_segment_row_sum_mismatch_is_rejected() {
-        let mut m = sample_v2();
+        let mut m = sample();
         m.segments.get_mut("ssl.ts").unwrap()[0].rows = 9;
         let msg = Manifest::from_json(&m.to_json()).unwrap_err().to_string();
         assert!(msg.contains("ssl.ts"), "{msg}");
@@ -440,7 +402,7 @@ mod tests {
 
     #[test]
     fn v2_divergent_banding_is_rejected() {
-        let mut m = sample_v2();
+        let mut m = sample();
         let metas = m.segments.get_mut("ssl.sni").unwrap();
         let mut meta = metas[0].clone();
         metas[0].rows = 4;
@@ -454,7 +416,7 @@ mod tests {
 
     #[test]
     fn v2_missing_segments_object_is_rejected() {
-        let mut doc = sample_v2().to_json();
+        let mut doc = sample().to_json();
         if let JsonValue::Obj(fields) = &mut doc {
             fields.retain(|(k, _)| k != "segments");
         }
@@ -464,7 +426,7 @@ mod tests {
 
     #[test]
     fn v2_category_digests_round_trip() {
-        let mut m = sample_v2();
+        let mut m = sample();
         let mut digest = CategoryDigest::default();
         digest.counts[crate::category::Category::PublicOnly.index()] = m.ssl_rows;
         m.category_digests = Some(vec![digest]);
@@ -480,12 +442,12 @@ mod tests {
     #[test]
     fn v2_category_digest_mismatches_are_rejected() {
         // Wrong digest count vs ssl segment count.
-        let mut m = sample_v2();
+        let mut m = sample();
         m.category_digests = Some(vec![]);
         let msg = Manifest::from_json(&m.to_json()).unwrap_err().to_string();
         assert!(msg.contains("category digests"), "{msg}");
         // Digest whose row total disagrees with its segment.
-        let mut m = sample_v2();
+        let mut m = sample();
         let mut digest = CategoryDigest::default();
         digest.counts[0] = m.ssl_rows + 1;
         m.category_digests = Some(vec![digest]);

@@ -6,24 +6,21 @@
 //! columns) — truncation is diagnosed up front, before any row is
 //! decoded.
 //!
-//! Both format versions are served transparently: v1 stores expose the
-//! zero-copy [`SslColumns`]/[`X509Columns`] views, v2 stores the
-//! segmented [`SslSegments`]/[`X509Segments`] views (whole-segment
-//! decode into caller-owned scratch buffers, zone maps for skipping).
-//! The record iterators ([`DatasetReader::ssl_iter`] /
-//! [`DatasetReader::x509_iter`]) work on either version, so stream-based
-//! consumers and the v1→v2 `certchain compact` migration never care
-//! which layout is underneath. Only *unknown* versions are an error, and
-//! that error comes from the manifest check before any column is mapped.
+//! The segmented [`SslSegments`]/[`X509Segments`] views decode whole
+//! segments into caller-owned scratch buffers and expose zone maps for
+//! skipping. The record iterators ([`DatasetReader::ssl_iter`] /
+//! [`DatasetReader::x509_iter`]) sit on top of them, so stream-based
+//! consumers and `certchain compact` read the store record by record. A
+//! manifest of any other version is rejected before any column is
+//! mapped.
 
 use crate::dict::Dict;
-use crate::manifest::{Manifest, VERSION_V1};
+use crate::manifest::Manifest;
 use crate::map::{MapMode, Mapping};
 use crate::segment::SegmentMeta;
 use crate::write::{decode_tls_version, FLAG_BC_CA, FLAG_BC_PRESENT, FLAG_PATH_LEN};
-use crate::{ColError, ColResult, COLUMNS, VERSION};
+use crate::{ColError, ColResult, COLUMNS};
 use certchain_asn1::Asn1Time;
-use certchain_netsim::handshake::TlsVersion;
 use certchain_netsim::zeek::record::{SslRecord, X509Record};
 use certchain_x509::Fingerprint;
 use std::net::Ipv4Addr;
@@ -69,8 +66,8 @@ struct SegStart {
 pub struct DatasetReader {
     manifest: Manifest,
     maps: Vec<Mapping>,
-    /// Per-column segment starts (parallel to `maps`); empty for v1
-    /// stores, var-length data files, and shared tables.
+    /// Per-column segment starts (parallel to `maps`); empty for
+    /// var-length data files and shared tables.
     seg_starts: Vec<Vec<SegStart>>,
 }
 
@@ -105,32 +102,22 @@ impl DatasetReader {
                     found,
                 });
             }
-            if let Some(width) = width {
-                if manifest.version == VERSION_V1 {
-                    let rows = crate::rows_for(name, manifest.ssl_rows, manifest.x509_rows)
-                        .expect("fixed-width columns are table columns");
-                    if found != rows * width {
-                        return Err(ColError::Corrupt(format!(
-                            "column {name}: {found} bytes is not {rows} rows x {width} bytes"
-                        )));
-                    }
-                } else {
-                    // Segment byte/row sums were validated against the
-                    // file length at manifest parse; record each
-                    // segment's start for O(1) addressing here.
-                    let metas = manifest
-                        .segments
-                        .get(*name)
-                        .expect("validated in from_json");
-                    let mut byte = 0u64;
-                    let mut row = 0u64;
-                    let starts = &mut seg_starts[at];
-                    starts.reserve(metas.len());
-                    for meta in metas {
-                        starts.push(SegStart { byte, row });
-                        byte += meta.bytes;
-                        row += meta.rows;
-                    }
+            if width.is_some() {
+                // Segment byte/row sums were validated against the file
+                // length at manifest parse; record each segment's start
+                // for O(1) addressing here.
+                let metas = manifest
+                    .segments
+                    .get(*name)
+                    .expect("validated in from_json");
+                let mut byte = 0u64;
+                let mut row = 0u64;
+                let starts = &mut seg_starts[at];
+                starts.reserve(metas.len());
+                for meta in metas {
+                    starts.push(SegStart { byte, row });
+                    byte += meta.bytes;
+                    row += meta.rows;
                 }
             }
             maps.push(map);
@@ -175,29 +162,22 @@ impl DatasetReader {
             self.maps[STRINGS_DAT].bytes(),
         )?;
         // Each var-length pair: the last index entry must equal the data
-        // length (and an empty table implies an empty data file). In a v2
-        // store the index column is encoded, so the final offset comes
-        // from the last segment's zone max (end offsets are
-        // non-decreasing, so the max is the last entry).
+        // length (and an empty table implies an empty data file). The
+        // index column is encoded, so the final offset comes from the
+        // last segment's zone max (end offsets are non-decreasing, so the
+        // max is the last entry).
         for (idx, dat, unit) in [
             (SSL_UID_IDX, SSL_UID_DAT, 1u64),
             (SSL_CHAIN_IDX, SSL_CHAIN_DAT, 4),
             (X509_SAN_IDX, X509_SAN_DAT, 4),
         ] {
             let dat_len = self.maps[dat].len() as u64;
-            let end = if m.version == VERSION_V1 {
-                let idx_bytes = self.maps[idx].bytes();
-                match idx_bytes.len() {
-                    0 => 0,
-                    n => u64::from_le_bytes(idx_bytes[n - 8..].try_into().expect("8-byte slice")),
-                }
-            } else {
-                m.segments
-                    .get(COLUMNS[idx].0)
-                    .expect("validated in from_json")
-                    .last()
-                    .map_or(0, |meta| meta.zone.max)
-            };
+            let end = m
+                .segments
+                .get(COLUMNS[idx].0)
+                .expect("validated in from_json")
+                .last()
+                .map_or(0, |meta| meta.zone.max);
             if end != dat_len {
                 return Err(ColError::Corrupt(format!(
                     "column {}: final offset {end} != data length {dat_len}",
@@ -219,11 +199,6 @@ impl DatasetReader {
         &self.manifest
     }
 
-    /// On-disk format version (1 or 2).
-    pub fn format_version(&self) -> u64 {
-        self.manifest.version
-    }
-
     /// Rows in the ssl table.
     pub fn ssl_rows(&self) -> u64 {
         self.manifest.ssl_rows
@@ -235,9 +210,8 @@ impl DatasetReader {
     }
 
     /// Per-ssl-segment chain-category digests, when the store carries
-    /// them (`None` on v1 stores and on v2 stores written without a
-    /// category provider — those segments are simply never skipped by a
-    /// category filter).
+    /// them (`None` on stores written without a category provider —
+    /// those segments are simply never skipped by a category filter).
     pub fn category_digests(&self) -> Option<&[crate::category::CategoryDigest]> {
         self.manifest.category_digests.as_deref()
     }
@@ -262,76 +236,23 @@ impl DatasetReader {
         Ok(None)
     }
 
-    fn require_version(&self, want: u64, view: &str) -> ColResult<()> {
-        if self.manifest.version == want {
-            Ok(())
-        } else {
-            Err(ColError::Format(format!(
-                "{view} requires a v{want} store, this one is v{} \
-                 (dispatch on DatasetReader::format_version)",
-                self.manifest.version
-            )))
-        }
-    }
-
-    /// Zero-copy column view over a **v1** ssl table.
-    pub fn ssl(&self) -> ColResult<SslColumns<'_>> {
-        self.require_version(VERSION_V1, "SslColumns")?;
-        Ok(SslColumns {
-            rows: self.manifest.ssl_rows,
-            ts: self.maps[SSL_TS].bytes(),
-            uid_idx: self.maps[SSL_UID_IDX].bytes(),
-            uid_dat: self.maps[SSL_UID_DAT].bytes(),
-            orig_h: self.maps[SSL_ORIG_H].bytes(),
-            orig_p: self.maps[SSL_ORIG_P].bytes(),
-            resp_h: self.maps[SSL_RESP_H].bytes(),
-            resp_p: self.maps[SSL_RESP_P].bytes(),
-            version: self.maps[SSL_VERSION].bytes(),
-            sni: self.maps[SSL_SNI].bytes(),
-            established: self.maps[SSL_ESTABLISHED].bytes(),
-            chain_idx: self.maps[SSL_CHAIN_IDX].bytes(),
-            chain_dat: self.maps[SSL_CHAIN_DAT].bytes(),
-            dict: self.dict()?,
-            fps: self.maps[FPS_DAT].bytes(),
-        })
-    }
-
-    /// Zero-copy column view over a **v1** x509 table.
-    pub fn x509(&self) -> ColResult<X509Columns<'_>> {
-        self.require_version(VERSION_V1, "X509Columns")?;
-        Ok(X509Columns {
-            rows: self.manifest.x509_rows,
-            ts: self.maps[X509_TS].bytes(),
-            fp: self.maps[X509_FP].bytes(),
-            version: self.maps[X509_VERSION].bytes(),
-            serial: self.maps[X509_SERIAL].bytes(),
-            subject: self.maps[X509_SUBJECT].bytes(),
-            issuer: self.maps[X509_ISSUER].bytes(),
-            not_before: self.maps[X509_NOT_BEFORE].bytes(),
-            not_after: self.maps[X509_NOT_AFTER].bytes(),
-            flags: self.maps[X509_FLAGS].bytes(),
-            path_len: self.maps[X509_PATH_LEN].bytes(),
-            san_idx: self.maps[X509_SAN_IDX].bytes(),
-            san_dat: self.maps[X509_SAN_DAT].bytes(),
-            dict: self.dict()?,
-            fps: self.maps[FPS_DAT].bytes(),
-        })
-    }
-
     fn seg_col(&self, at: usize) -> SegmentedColumn<'_> {
         let (name, width) = COLUMNS[at];
         SegmentedColumn {
             name,
             width: width.expect("segmented columns are fixed-width") as u8,
             data: self.maps[at].bytes(),
-            metas: self.manifest.segments.get(name).expect("v2 manifest"),
+            metas: self
+                .manifest
+                .segments
+                .get(name)
+                .expect("validated in from_json"),
             starts: &self.seg_starts[at],
         }
     }
 
-    /// Segmented view over a **v2** ssl table.
+    /// Segmented view over the ssl table.
     pub fn ssl_segments(&self) -> ColResult<SslSegments<'_>> {
-        self.require_version(VERSION, "SslSegments")?;
         Ok(SslSegments {
             rows: self.manifest.ssl_rows,
             ts: self.seg_col(SSL_TS),
@@ -351,9 +272,8 @@ impl DatasetReader {
         })
     }
 
-    /// Segmented view over a **v2** x509 table.
+    /// Segmented view over the x509 table.
     pub fn x509_segments(&self) -> ColResult<X509Segments<'_>> {
-        self.require_version(VERSION, "X509Segments")?;
         Ok(X509Segments {
             rows: self.manifest.x509_rows,
             ts: self.seg_col(X509_TS),
@@ -381,52 +301,15 @@ impl DatasetReader {
     }
 
     /// Iterate ssl rows as [`SslRecord`]s — the same item shape as
-    /// `SslLogStream`, so stream-based consumers run unchanged on either
-    /// format version.
-    pub fn ssl_iter(&self) -> ColResult<Box<dyn Iterator<Item = ColResult<SslRecord>> + '_>> {
-        if self.manifest.version == VERSION_V1 {
-            let cols = self.ssl()?;
-            Ok(Box::new((0..cols.rows).map(move |row| cols.record(row))))
-        } else {
-            Ok(Box::new(SslV2Iter::new(self.ssl_segments()?)))
-        }
+    /// `SslLogStream`, so stream-based consumers run unchanged.
+    pub fn ssl_iter(&self) -> ColResult<SslIter<'_>> {
+        Ok(SslIter::new(self.ssl_segments()?))
     }
 
     /// Iterate x509 rows as [`X509Record`]s, mirroring `X509LogStream`.
-    pub fn x509_iter(&self) -> ColResult<Box<dyn Iterator<Item = ColResult<X509Record>> + '_>> {
-        if self.manifest.version == VERSION_V1 {
-            let cols = self.x509()?;
-            Ok(Box::new((0..cols.rows).map(move |row| cols.record(row))))
-        } else {
-            Ok(Box::new(X509V2Iter::new(self.x509_segments()?)))
-        }
+    pub fn x509_iter(&self) -> ColResult<X509Iter<'_>> {
+        Ok(X509Iter::new(self.x509_segments()?))
     }
-}
-
-fn u64_at(col: &[u8], row: u64) -> u64 {
-    let at = (row as usize) * 8;
-    u64::from_le_bytes(col[at..at + 8].try_into().expect("8-byte slice"))
-}
-
-fn u32_at(col: &[u8], row: u64) -> u32 {
-    let at = (row as usize) * 4;
-    u32::from_le_bytes(col[at..at + 4].try_into().expect("4-byte slice"))
-}
-
-fn u16_at(col: &[u8], row: u64) -> u16 {
-    let at = (row as usize) * 2;
-    u16::from_le_bytes(col[at..at + 2].try_into().expect("2-byte slice"))
-}
-
-fn var_range(idx: &[u8], row: u64, dat_len: usize, what: &str) -> ColResult<(usize, usize)> {
-    let start = if row == 0 { 0 } else { u64_at(idx, row - 1) } as usize;
-    let end = u64_at(idx, row) as usize;
-    if start > end || end > dat_len {
-        return Err(ColError::Corrupt(format!(
-            "{what} row {row}: offsets {start}..{end} out of bounds (data length {dat_len})"
-        )));
-    }
-    Ok((start, end))
 }
 
 /// Bounds-check a decoded `start..end` offset pair against `dat`.
@@ -451,7 +334,7 @@ fn fp_at(fps: &[u8], idx: u32, what: &str) -> ColResult<Fingerprint> {
     Ok(Fingerprint(bytes.try_into().expect("32-byte slice")))
 }
 
-/// One encoded column of a v2 store: segment metadata plus the
+/// One encoded column: segment metadata plus the
 /// concatenated payload bytes, with O(1) segment addressing.
 #[derive(Clone, Copy)]
 pub struct SegmentedColumn<'a> {
@@ -498,9 +381,9 @@ impl<'a> SegmentedColumn<'a> {
     }
 }
 
-/// Segmented view over the ssl table of a v2 store. Fixed-width columns
-/// decode segment-at-a-time; the var-length data files and shared
-/// tables are raw slices, exactly as in v1.
+/// Segmented view over the ssl table. Fixed-width columns decode
+/// segment-at-a-time; the var-length data files and shared tables are
+/// raw slices.
 #[derive(Clone, Copy)]
 pub struct SslSegments<'a> {
     /// Row count.
@@ -563,7 +446,7 @@ impl<'a> SslSegments<'a> {
     }
 }
 
-/// Segmented view over the x509 table of a v2 store.
+/// Segmented view over the x509 table.
 #[derive(Clone, Copy)]
 pub struct X509Segments<'a> {
     /// Row count.
@@ -620,9 +503,9 @@ impl<'a> X509Segments<'a> {
     }
 }
 
-/// Record iterator over a v2 ssl table: decodes one segment's columns at
+/// Record iterator over the ssl table: decodes one segment's columns at
 /// a time, materialises its records, then moves on.
-struct SslV2Iter<'a> {
+pub struct SslIter<'a> {
     cols: SslSegments<'a>,
     seg: usize,
     buf: std::vec::IntoIter<SslRecord>,
@@ -631,9 +514,9 @@ struct SslV2Iter<'a> {
     failed: bool,
 }
 
-impl<'a> SslV2Iter<'a> {
-    fn new(cols: SslSegments<'a>) -> SslV2Iter<'a> {
-        SslV2Iter {
+impl<'a> SslIter<'a> {
+    fn new(cols: SslSegments<'a>) -> SslIter<'a> {
+        SslIter {
             cols,
             seg: 0,
             buf: Vec::new().into_iter(),
@@ -706,7 +589,7 @@ impl<'a> SslV2Iter<'a> {
     }
 }
 
-impl Iterator for SslV2Iter<'_> {
+impl Iterator for SslIter<'_> {
     type Item = ColResult<SslRecord>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -734,8 +617,8 @@ impl Iterator for SslV2Iter<'_> {
     }
 }
 
-/// Record iterator over a v2 x509 table.
-struct X509V2Iter<'a> {
+/// Record iterator over the x509 table.
+pub struct X509Iter<'a> {
     cols: X509Segments<'a>,
     seg: usize,
     buf: std::vec::IntoIter<X509Record>,
@@ -743,9 +626,9 @@ struct X509V2Iter<'a> {
     failed: bool,
 }
 
-impl<'a> X509V2Iter<'a> {
-    fn new(cols: X509Segments<'a>) -> X509V2Iter<'a> {
-        X509V2Iter {
+impl<'a> X509Iter<'a> {
+    fn new(cols: X509Segments<'a>) -> X509Iter<'a> {
+        X509Iter {
             cols,
             seg: 0,
             buf: Vec::new().into_iter(),
@@ -815,7 +698,7 @@ impl<'a> X509V2Iter<'a> {
     }
 }
 
-impl Iterator for X509V2Iter<'_> {
+impl Iterator for X509Iter<'_> {
     type Item = ColResult<X509Record>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -840,174 +723,5 @@ impl Iterator for X509V2Iter<'_> {
                 }
             }
         }
-    }
-}
-
-/// Borrowed, zero-copy accessors over the ssl table. All row arguments
-/// must be `< rows` (fixed-width reads panic past the end, like slice
-/// indexing); var-length and table lookups return [`ColError::Corrupt`]
-/// on inconsistent data.
-#[derive(Clone, Copy)]
-pub struct SslColumns<'a> {
-    /// Row count.
-    pub rows: u64,
-    ts: &'a [u8],
-    uid_idx: &'a [u8],
-    uid_dat: &'a [u8],
-    orig_h: &'a [u8],
-    orig_p: &'a [u8],
-    resp_h: &'a [u8],
-    resp_p: &'a [u8],
-    version: &'a [u8],
-    sni: &'a [u8],
-    established: &'a [u8],
-    chain_idx: &'a [u8],
-    chain_dat: &'a [u8],
-    dict: Dict<'a>,
-    fps: &'a [u8],
-}
-
-impl<'a> SslColumns<'a> {
-    /// Connection timestamp (epoch seconds).
-    pub fn ts(&self, row: u64) -> u64 {
-        u64_at(self.ts, row)
-    }
-
-    /// Connection uid.
-    pub fn uid(&self, row: u64) -> ColResult<&'a str> {
-        let (start, end) = var_range(self.uid_idx, row, self.uid_dat.len(), "ssl.uid")?;
-        std::str::from_utf8(&self.uid_dat[start..end])
-            .map_err(|_| ColError::Corrupt(format!("ssl.uid row {row} is not valid UTF-8")))
-    }
-
-    /// Originator (client) address.
-    pub fn orig_h(&self, row: u64) -> Ipv4Addr {
-        Ipv4Addr::from(u32_at(self.orig_h, row))
-    }
-
-    /// Originator port.
-    pub fn orig_p(&self, row: u64) -> u16 {
-        u16_at(self.orig_p, row)
-    }
-
-    /// Responder (server) address.
-    pub fn resp_h(&self, row: u64) -> Ipv4Addr {
-        Ipv4Addr::from(u32_at(self.resp_h, row))
-    }
-
-    /// Responder port.
-    pub fn resp_p(&self, row: u64) -> u16 {
-        u16_at(self.resp_p, row)
-    }
-
-    /// Negotiated TLS version.
-    pub fn version(&self, row: u64) -> ColResult<TlsVersion> {
-        decode_tls_version(self.version[row as usize])
-    }
-
-    /// SNI dictionary code ([`crate::NONE_IDX`] = unset), for
-    /// code-level predicate comparison without string resolution.
-    pub fn sni_code(&self, row: u64) -> u32 {
-        u32_at(self.sni, row)
-    }
-
-    /// SNI, when the client sent one.
-    pub fn sni(&self, row: u64) -> ColResult<Option<&'a str>> {
-        self.dict.get_opt(u32_at(self.sni, row))
-    }
-
-    /// Whether the handshake completed.
-    pub fn established(&self, row: u64) -> bool {
-        self.established[row as usize] != 0
-    }
-
-    /// Number of fingerprints in the row's delivered chain.
-    pub fn chain_len(&self, row: u64) -> ColResult<usize> {
-        let (start, end) = var_range(self.chain_idx, row, self.chain_dat.len(), "ssl.chain")?;
-        Ok((end - start) / 4)
-    }
-
-    /// Append the row's chain fingerprints to `out` (cleared first) —
-    /// lets the analyze hot path reuse one buffer across rows.
-    pub fn chain_fps_into(&self, row: u64, out: &mut Vec<Fingerprint>) -> ColResult<()> {
-        out.clear();
-        let (start, end) = var_range(self.chain_idx, row, self.chain_dat.len(), "ssl.chain")?;
-        for at in (start..end).step_by(4) {
-            let idx =
-                u32::from_le_bytes(self.chain_dat[at..at + 4].try_into().expect("4-byte slice"));
-            out.push(fp_at(self.fps, idx, "ssl.chain")?);
-        }
-        Ok(())
-    }
-
-    /// Materialise the full [`SslRecord`] for `row`.
-    pub fn record(&self, row: u64) -> ColResult<SslRecord> {
-        let mut chain = Vec::new();
-        self.chain_fps_into(row, &mut chain)?;
-        Ok(SslRecord {
-            ts: Asn1Time::from_unix(self.ts(row)),
-            uid: self.uid(row)?.to_string(),
-            orig_h: self.orig_h(row),
-            orig_p: self.orig_p(row),
-            resp_h: self.resp_h(row),
-            resp_p: self.resp_p(row),
-            version: self.version(row)?,
-            server_name: self.sni(row)?.map(str::to_string),
-            established: self.established(row),
-            cert_chain_fps: chain,
-        })
-    }
-}
-
-/// Borrowed, zero-copy accessors over the x509 table.
-#[derive(Clone, Copy)]
-pub struct X509Columns<'a> {
-    /// Row count.
-    pub rows: u64,
-    ts: &'a [u8],
-    fp: &'a [u8],
-    version: &'a [u8],
-    serial: &'a [u8],
-    subject: &'a [u8],
-    issuer: &'a [u8],
-    not_before: &'a [u8],
-    not_after: &'a [u8],
-    flags: &'a [u8],
-    path_len: &'a [u8],
-    san_idx: &'a [u8],
-    san_dat: &'a [u8],
-    dict: Dict<'a>,
-    fps: &'a [u8],
-}
-
-impl<'a> X509Columns<'a> {
-    /// The row's fingerprint (the join key with the ssl table).
-    pub fn fingerprint(&self, row: u64) -> ColResult<Fingerprint> {
-        fp_at(self.fps, u32_at(self.fp, row), "x509.fp")
-    }
-
-    /// Materialise the full [`X509Record`] for `row`.
-    pub fn record(&self, row: u64) -> ColResult<X509Record> {
-        let flags = self.flags[row as usize];
-        let (start, end) = var_range(self.san_idx, row, self.san_dat.len(), "x509.san")?;
-        let mut san_dns = Vec::with_capacity((end - start) / 4);
-        for at in (start..end).step_by(4) {
-            let idx =
-                u32::from_le_bytes(self.san_dat[at..at + 4].try_into().expect("4-byte slice"));
-            san_dns.push(self.dict.get(idx)?.to_string());
-        }
-        Ok(X509Record {
-            ts: Asn1Time::from_unix(u64_at(self.ts, row)),
-            fingerprint: self.fingerprint(row)?,
-            cert_version: u64_at(self.version, row),
-            serial: self.dict.get(u32_at(self.serial, row))?.to_string(),
-            subject: self.dict.get(u32_at(self.subject, row))?.to_string(),
-            issuer: self.dict.get(u32_at(self.issuer, row))?.to_string(),
-            not_before: Asn1Time::from_unix(u64_at(self.not_before, row)),
-            not_after: Asn1Time::from_unix(u64_at(self.not_after, row)),
-            basic_constraints_ca: (flags & FLAG_BC_PRESENT != 0).then_some(flags & FLAG_BC_CA != 0),
-            path_len: (flags & FLAG_PATH_LEN != 0).then(|| u64_at(self.path_len, row)),
-            san_dns,
-        })
     }
 }

@@ -1,12 +1,12 @@
 //! Segment metadata: the manifest-side description of one encoded row
-//! band of one fixed-width column in a v2 store.
+//! band of one fixed-width column.
 
 use crate::codec::Encoding;
 use crate::zonemap::ZoneMap;
 use crate::{ColError, ColResult};
 use certchain_obs::json::JsonValue;
 
-/// Default rows per segment for freshly written v2 stores. Small enough
+/// Default rows per segment for freshly written stores. Small enough
 /// that zone maps discriminate on campus-scale traces, large enough that
 /// per-segment decode overhead stays negligible.
 pub const DEFAULT_SEGMENT_ROWS: u64 = 4096;

@@ -7,7 +7,7 @@
 use certchain_asn1::Asn1Time;
 use certchain_colstore::{
     ColError, DatasetReader, DatasetWriter, Manifest, MapMode, WriterOptions, MANIFEST_FILE,
-    VERSION_V1,
+    VERSION,
 };
 use certchain_netsim::{SslRecord, TlsVersion, X509Record};
 use certchain_x509::Fingerprint;
@@ -92,12 +92,12 @@ fn arb_x509_record() -> impl Strategy<Value = X509Record> {
         )
 }
 
-/// Write both record kinds with the default (v2) format.
+/// Write both record kinds with the default writer options.
 fn write_store(dir: &Path, ssl: &[SslRecord], x509: &[X509Record]) -> Manifest {
     write_store_with(dir, ssl, x509, WriterOptions::default())
 }
 
-/// Write both record kinds with explicit format options.
+/// Write both record kinds with explicit writer options.
 fn write_store_with(
     dir: &Path,
     ssl: &[SslRecord],
@@ -137,16 +137,15 @@ proptest! {
         ssl in proptest::collection::vec(arb_ssl_record(), 0..16),
         x509 in proptest::collection::vec(arb_x509_record(), 0..16),
     ) {
-        // Default v2, v2 with row bands small enough to force multiple
-        // ragged segments, and legacy v1 all round-trip identically.
+        // Default bands, and row bands small enough to force multiple
+        // ragged segments, both round-trip identically.
         for opts in [
             WriterOptions::default(),
-            WriterOptions { segment_rows: 3, ..WriterOptions::default() },
-            WriterOptions { version: VERSION_V1, ..WriterOptions::default() },
+            WriterOptions { segment_rows: 3 },
         ] {
             let dir = scratch("rt");
             let manifest = write_store_with(&dir, &ssl, &x509, opts);
-            prop_assert_eq!(manifest.version, opts.version);
+            prop_assert_eq!(manifest.version, VERSION);
             prop_assert_eq!(manifest.ssl_rows, ssl.len() as u64);
             prop_assert_eq!(manifest.x509_rows, x509.len() as u64);
             for mode in [MapMode::Auto, MapMode::Read] {
@@ -207,7 +206,7 @@ fn version_mismatch_is_a_clear_error() {
     std::fs::write(&manifest_path, bumped).unwrap();
     let err = DatasetReader::open(&dir, MapMode::Auto).unwrap_err();
     let msg = err.to_string();
-    assert!(msg.contains("expected 1"), "{msg}");
+    assert!(msg.contains("expected 2"), "{msg}");
     assert!(msg.contains("found 99"), "{msg}");
     assert!(msg.contains("certchain convert"), "{msg}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -230,19 +229,14 @@ fn truncated_fixed_width_column_reports_expected_and_found() {
             cert_chain_fps: vec![Fingerprint([i as u8; 32])],
         })
         .collect();
-    // v1 stores raw fixed-width columns, so the truncation arithmetic
-    // below (rows x width) only holds there; v2 length mismatches are
-    // caught by the same manifest length check under `Truncated` too,
-    // which `any_truncated_column_fails_open` exercises.
-    let opts = WriterOptions {
-        version: VERSION_V1,
-        ..WriterOptions::default()
-    };
-    write_store_with(&dir, &ssl, &[], opts);
-    // 4 rows x 8 bytes; keep only 3 rows' worth.
+    let manifest = write_store(&dir, &ssl, &[]);
+    // The encoded column's length is whatever its segments came to; the
+    // error must echo the manifest's figure and the size on disk.
+    let want = manifest.columns["ssl.ts"];
+    assert!(want > 1, "ssl.ts holds at least two bytes");
     let ts = dir.join("ssl.ts");
     let f = std::fs::OpenOptions::new().write(true).open(&ts).unwrap();
-    f.set_len(24).unwrap();
+    f.set_len(want - 1).unwrap();
     drop(f);
     match DatasetReader::open(&dir, MapMode::Auto).unwrap_err() {
         ColError::Truncated {
@@ -251,8 +245,8 @@ fn truncated_fixed_width_column_reports_expected_and_found() {
             found,
         } => {
             assert!(file.contains("ssl.ts"), "{file}");
-            assert_eq!(expected, 32);
-            assert_eq!(found, 24);
+            assert_eq!(expected, want);
+            assert_eq!(found, want - 1);
         }
         other => panic!("expected Truncated, got {other}"),
     }

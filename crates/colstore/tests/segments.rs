@@ -2,16 +2,15 @@
 //! values (empty, single-row, and full max-row segments included), zone
 //! maps that never exclude a present value, the append-segment protocol
 //! (tail-only shared-table growth, stable dictionary codes), and the
-//! error suite mirroring the v1 reader tests — truncation, manifest
-//! corruption, and unknown versions all fail `open` or decode with a
-//! structured error.
+//! error suite — truncation, manifest corruption, and retired or
+//! unknown versions all fail `open` or decode with a structured error.
 
 use certchain_asn1::Asn1Time;
 use certchain_colstore::codec::{self, Encoding};
 use certchain_colstore::zonemap::ZoneMap;
 use certchain_colstore::{
     Category, CategoryDigest, ColError, DatasetReader, DatasetWriter, MapMode, WriterOptions,
-    MANIFEST_FILE, NONE_IDX, VERSION_V1,
+    MANIFEST_FILE, NONE_IDX,
 };
 use certchain_netsim::{SslRecord, TlsVersion, X509Record};
 use certchain_x509::Fingerprint;
@@ -63,14 +62,8 @@ fn x509_row(i: u64) -> X509Record {
 }
 
 fn write_v2(dir: &Path, ssl_rows: u64, x509_rows: u64, segment_rows: u64) {
-    let mut writer = DatasetWriter::create_with(
-        dir,
-        WriterOptions {
-            segment_rows,
-            ..WriterOptions::default()
-        },
-    )
-    .expect("create v2 store");
+    let mut writer =
+        DatasetWriter::create_with(dir, WriterOptions { segment_rows }).expect("create v2 store");
     for i in 0..x509_rows {
         writer.append_x509(&x509_row(i)).expect("append x509");
     }
@@ -163,7 +156,7 @@ fn single_and_max_row_segments_round_trip() {
         let dir = scratch("bands");
         write_v2(&dir, rows, rows.min(5), 4);
         let reader = DatasetReader::open(&dir, MapMode::Auto).expect("open");
-        assert_eq!(reader.format_version(), 2);
+        assert_eq!(reader.manifest().version, 2);
         let ssl: Vec<SslRecord> = reader
             .ssl_iter()
             .expect("iter")
@@ -262,42 +255,70 @@ fn append_open_extends_a_store_in_place() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file of a flat store directory, by name.
+fn store_bytes(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                std::fs::read(e.path()).unwrap(),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn append_open_refuses_v1_stores() {
+    // A store stamped with the retired v1 layout is never extended: the
+    // appender names the migration path and leaves every byte in place.
     let dir = scratch("append-v1");
-    let mut writer = DatasetWriter::create_with(
-        &dir,
-        WriterOptions {
-            version: VERSION_V1,
-            ..WriterOptions::default()
-        },
-    )
-    .expect("create v1 store");
-    writer.append_ssl(&ssl_row(0)).expect("append");
-    writer.finish().expect("finish");
+    write_v2(&dir, 20, 5, 8);
+    let path = dir.join(MANIFEST_FILE);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let stamped = text.replace("\"version\": 2", "\"version\": 1");
+    assert_ne!(text, stamped);
+    std::fs::write(&path, stamped).unwrap();
+    let before = store_bytes(&dir);
     let msg = match DatasetWriter::append_open(&dir) {
         Ok(_) => panic!("append_open must refuse a v1 store"),
         Err(e) => e.to_string(),
     };
-    assert!(msg.contains("certchain compact"), "{msg}");
+    assert!(msg.contains("expected 2, found 1"), "{msg}");
+    assert!(msg.contains("certchain convert"), "{msg}");
+    assert_eq!(store_bytes(&dir), before, "v1 store was modified");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn unknown_version_is_a_hard_error() {
-    let dir = scratch("unknown");
-    write_v2(&dir, 4, 2, 8);
-    let path = dir.join(MANIFEST_FILE);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let bumped = text.replace("\"version\": 2", "\"version\": 7");
-    assert_ne!(text, bumped);
-    std::fs::write(&path, bumped).unwrap();
-    let msg = DatasetReader::open(&dir, MapMode::Auto)
-        .unwrap_err()
-        .to_string();
-    assert!(msg.contains("expected 1 or 2"), "{msg}");
-    assert!(msg.contains("found 7"), "{msg}");
-    let _ = std::fs::remove_dir_all(&dir);
+    // The retired raw-column v1 and a future version fail alike: the
+    // reader and the appender both refuse before touching a byte.
+    for version in [1u64, 7] {
+        let dir = scratch("unknown");
+        write_v2(&dir, 4, 2, 8);
+        let path = dir.join(MANIFEST_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let bumped = text.replace("\"version\": 2", &format!("\"version\": {version}"));
+        assert_ne!(text, bumped);
+        std::fs::write(&path, bumped).unwrap();
+        let before = store_bytes(&dir);
+        let msg = DatasetReader::open(&dir, MapMode::Auto)
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("expected 2"), "{msg}");
+        assert!(msg.contains(&format!("found {version}")), "{msg}");
+        assert!(msg.contains("certchain convert"), "{msg}");
+        let msg = match DatasetWriter::append_open(&dir) {
+            Ok(_) => panic!("append_open must refuse a v{version} store"),
+            Err(e) => e.to_string(),
+        };
+        assert!(msg.contains("expected 2"), "{msg}");
+        assert!(msg.contains(&format!("found {version}")), "{msg}");
+        assert_eq!(store_bytes(&dir), before, "v{version} store was modified");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -398,15 +419,9 @@ fn digest_rows(rows: impl Iterator<Item = u64>) -> CategoryDigest {
 fn append_open_redigests_tail_bands_and_preserves_existing_digests() {
     let dir = scratch("append-digest");
     // Digest-bearing base store: 10 ssl rows at band 8 → digests [0..8), [8..10).
-    let mut writer = DatasetWriter::create_with(
-        &dir,
-        WriterOptions {
-            segment_rows: 8,
-            ..WriterOptions::default()
-        },
-    )
-    .expect("create store")
-    .with_category_provider(cat_provider());
+    let mut writer = DatasetWriter::create_with(&dir, WriterOptions { segment_rows: 8 })
+        .expect("create store")
+        .with_category_provider(cat_provider());
     for i in 0..6 {
         writer.append_x509(&x509_row(i)).expect("append x509");
     }
@@ -450,15 +465,9 @@ fn append_open_redigests_tail_bands_and_preserves_existing_digests() {
 #[test]
 fn append_without_provider_drops_digest_coverage_atomically() {
     let dir = scratch("append-poison");
-    let mut writer = DatasetWriter::create_with(
-        &dir,
-        WriterOptions {
-            segment_rows: 8,
-            ..WriterOptions::default()
-        },
-    )
-    .expect("create store")
-    .with_category_provider(cat_provider());
+    let mut writer = DatasetWriter::create_with(&dir, WriterOptions { segment_rows: 8 })
+        .expect("create store")
+        .with_category_provider(cat_provider());
     for i in 0..10 {
         writer.append_ssl(&ssl_row(i)).expect("append ssl");
     }
