@@ -46,9 +46,10 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// Unit-weight input, like every CLI path: a weighted batch ingests on
+/// one worker, so it would not measure the parallel fold.
 fn bench_pipeline_threads(c: &mut Criterion) {
     let trace = CampusTrace::generate(tiny_profile());
-    let weights: Vec<f64> = trace.conn_meta.iter().map(|m| m.weight).collect();
     let mut group = c.benchmark_group("pipeline/threads");
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
@@ -66,7 +67,7 @@ fn bench_pipeline_threads(c: &mut Criterion) {
                             ..PipelineOptions::default()
                         },
                     );
-                    pipeline.analyze(&trace.ssl_records, &trace.x509_records, Some(&weights))
+                    pipeline.analyze(&trace.ssl_records, &trace.x509_records, None)
                 })
             },
         );

@@ -1,6 +1,7 @@
 //! Pipeline scaling + memory measurement: times the full analysis at
-//! several thread counts, measures batch-vs-streaming peak heap, and
-//! writes `BENCH_pipeline.json`.
+//! several thread counts over unit-weight input (the fold every CLI path
+//! runs), measures batch-vs-streaming peak heap, and writes
+//! `BENCH_pipeline.json`.
 //!
 //! `CERTCHAIN_PROFILE=quick` selects the test-sized trace, `large` the
 //! parallel-scaling size; the default is the paper-calibrated one.
@@ -12,8 +13,7 @@
 
 use certchain_chainlab::json::JsonValue;
 use certchain_chainlab::{
-    chain_category, Analysis, CertCat, CertRecord, CrossSignRegistry, Pipeline, PipelineOptions,
-    RowFilter,
+    Analysis, CategoryOracle, CrossSignRegistry, Pipeline, PipelineOptions, RowFilter,
 };
 use certchain_colstore::codec::Encoding;
 use certchain_colstore::{
@@ -127,7 +127,6 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let trace = CampusTrace::generate(certchain_bench::profile_from_env());
-    let weights: Vec<f64> = trace.conn_meta.iter().map(|m| m.weight).collect();
 
     let pipeline_with = |threads: usize| {
         Pipeline::with_options(
@@ -145,7 +144,7 @@ fn main() {
         // Warm up once so page cache / allocator state is comparable, then
         // report the best of three timed runs. Each timed run gets a fresh
         // metrics registry so its stage timings describe exactly one run.
-        pipeline_with(threads).analyze(&trace.ssl_records, &trace.x509_records, Some(&weights));
+        pipeline_with(threads).analyze(&trace.ssl_records, &trace.x509_records, None);
         let mut best = f64::INFINITY;
         let mut analysis = None;
         let mut snapshot = None;
@@ -153,7 +152,7 @@ fn main() {
             let registry = Arc::new(Registry::new());
             let pipeline = pipeline_with(threads).with_metrics(Arc::clone(&registry));
             let start = Instant::now();
-            let a = pipeline.analyze(&trace.ssl_records, &trace.x509_records, Some(&weights));
+            let a = pipeline.analyze(&trace.ssl_records, &trace.x509_records, None);
             let secs = start.elapsed().as_secs_f64();
             if secs < best {
                 best = secs;
@@ -240,28 +239,11 @@ fn main() {
     // the columnar store exists for — analyze time with the parse stage
     // deleted.
     // Fingerprint → structural class table, used both to digest the
-    // store at write time and to pick the rarest category below. First
-    // parseable occurrence of a fingerprint wins — the same intern
-    // semantics as the analysis enrich pass.
-    let cat_codes: std::collections::HashMap<certchain_x509::Fingerprint, CertCat> = {
-        let mut codes = std::collections::HashMap::new();
-        for rec in &trace.x509_records {
-            if codes.contains_key(&rec.fingerprint) {
-                continue;
-            }
-            if let Some(cert) = CertRecord::from_record(rec) {
-                codes.insert(rec.fingerprint, CertCat::of(&cert, &trace.eco.trust));
-            }
-        }
-        codes
-    };
-    let category_of = |rec: &certchain_netsim::SslRecord| {
-        chain_category(
-            rec.cert_chain_fps
-                .iter()
-                .map(|fp| cat_codes.get(fp).copied().unwrap_or(CertCat::Unresolved)),
-        )
-    };
+    // store at write time and to pick the rarest category below.
+    let mut categories = CategoryOracle::default();
+    for rec in &trace.x509_records {
+        categories.note(rec, &trace.eco.trust);
+    }
     let store =
         std::env::temp_dir().join(format!("certchain-pipeline-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
@@ -271,14 +253,7 @@ fn main() {
             .append_x509(&rec.expect("x509 rows round-trip"))
             .expect("append x509 row");
     }
-    let codes = cat_codes.clone();
-    writer = writer.with_category_provider(Box::new(move |rec| {
-        chain_category(
-            rec.cert_chain_fps
-                .iter()
-                .map(|fp| codes.get(fp).copied().unwrap_or(CertCat::Unresolved)),
-        )
-    }));
+    writer = writer.with_category_provider(categories.clone().into_provider());
     for rec in SslLogStream::new(&ssl_buf[..]) {
         writer
             .append_ssl(&rec.expect("ssl rows round-trip"))
@@ -386,7 +361,7 @@ fn main() {
     // per-segment digests let the fold skip without decoding.
     let mut cat_rows = [0u64; certchain_colstore::CATEGORY_COUNT];
     for rec in &trace.ssl_records {
-        cat_rows[category_of(rec).index()] += 1;
+        cat_rows[categories.category(&rec.cert_chain_fps).index()] += 1;
     }
     let rare_cat = Category::all()
         .iter()

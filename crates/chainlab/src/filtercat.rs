@@ -14,13 +14,16 @@
 //! interception chains are structurally `non_public_only`.)
 //!
 //! The same fold runs in three places and must stay in lock-step: the
-//! TSV ingest path (via [`CategoryOracle`]), the columnar fold (via
-//! per-fingerprint-code [`CertCat`] tables), and the store writers
-//! (via a digest provider closure). All three call [`chain_category`].
+//! TSV ingest path and the store writers (both via [`CategoryOracle`],
+//! the writers through [`CategoryOracle::into_provider`]) and the
+//! columnar fold (via per-fingerprint-code [`CertCat`] tables). All of
+//! them call [`chain_category`].
 
 use crate::classify::{classify, CertClass};
 use crate::model::CertRecord;
-use certchain_colstore::{Category, CategorySet};
+use certchain_colstore::write::CategoryProvider;
+use certchain_colstore::Category;
+use certchain_netsim::X509Record;
 use certchain_trust::TrustDb;
 use certchain_x509::Fingerprint;
 use std::collections::HashMap;
@@ -82,21 +85,19 @@ pub fn chain_category(codes: impl IntoIterator<Item = CertCat>) -> Category {
     }
 }
 
-/// Resolved category predicate for the record paths: a fingerprint →
-/// [`CertCat`] table plus the admitted [`CategorySet`]. Build it only
-/// after every x509 row has been folded — the structural category of a
-/// row depends on which fingerprints resolve, so an oracle built from a
-/// partial certificate table would disagree with the batch pipeline.
-#[derive(Debug, Clone)]
+/// The fingerprint → [`CertCat`] table behind the record-path category
+/// predicate and the store writers' digest provider. Build it only after
+/// every x509 row has been noted — the structural category of a row
+/// depends on which fingerprints resolve, so a table built from partial
+/// x509 input would disagree with the batch pipeline.
+#[derive(Debug, Clone, Default)]
 pub struct CategoryOracle {
-    set: CategorySet,
     codes: HashMap<Fingerprint, CertCat>,
 }
 
 impl CategoryOracle {
     /// Build from resolved `(fingerprint, certificate)` pairs.
     pub fn new<'a>(
-        set: CategorySet,
         certs: impl IntoIterator<Item = (Fingerprint, &'a CertRecord)>,
         trust: &TrustDb,
     ) -> CategoryOracle {
@@ -104,12 +105,20 @@ impl CategoryOracle {
             .into_iter()
             .map(|(fp, cert)| (fp, CertCat::of(cert, trust)))
             .collect();
-        CategoryOracle { set, codes }
+        CategoryOracle { codes }
     }
 
-    /// The admitted categories.
-    pub fn set(&self) -> CategorySet {
-        self.set
+    /// Note one x509 row: the first parseable row of a fingerprint wins
+    /// and unparseable rows stay absent — the intern semantics of every
+    /// enrich path, so categories computed here match the analysis.
+    pub fn note(&mut self, rec: &X509Record, trust: &TrustDb) {
+        if self.codes.contains_key(&rec.fingerprint) {
+            return;
+        }
+        if let Some(cert) = CertRecord::from_record(rec) {
+            self.codes
+                .insert(rec.fingerprint, CertCat::of(&cert, trust));
+        }
     }
 
     /// The structural category of a chain, by fingerprints.
@@ -120,9 +129,10 @@ impl CategoryOracle {
         )
     }
 
-    /// Whether a row with this chain passes the filter.
-    pub fn admits(&self, fps: &[Fingerprint]) -> bool {
-        self.set.contains(self.category(fps))
+    /// Finish the table into a per-row digest provider for
+    /// [`certchain_colstore::DatasetWriter::with_category_provider`].
+    pub fn into_provider(self) -> CategoryProvider {
+        Box::new(move |rec| self.category(&rec.cert_chain_fps))
     }
 }
 

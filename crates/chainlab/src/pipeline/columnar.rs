@@ -1,19 +1,15 @@
 //! The columnar analyze path: fold straight off a mapped
 //! [`DatasetReader`], no parse stage, workers sharded by row ranges.
 //!
-//! The TSV streaming path pays for a text parse of every row and funnels
-//! the whole stream through one dispatch thread (the partition-dispatch
-//! scan in [`super::ingest`]), because a chain's connections must reach
-//! exactly one worker for the f64 fold order to match the sequential
-//! reference. Columnar input removes both costs: fields decode with
-//! offset arithmetic off the mapped columns, and workers take contiguous
-//! *row ranges* instead of chain shards. Range sharding means one chain's
-//! connections can land in several workers — which is sound here because
-//! every on-disk row folds at weight 1.0, so all the f64 aggregates are
-//! exact small integers and merging per-worker partials (in worker-index
-//! order) is bit-identical to the sequential fold. The batch path's
-//! fractional per-record weights are exactly why *it* cannot shard by
-//! range and the columnar path can.
+//! The TSV streaming path pays for a text parse of every row, serialized
+//! under the ingest source lock (see [`super::ingest`]). Columnar input
+//! removes that cost: fields decode with offset arithmetic off the mapped
+//! columns, and workers take contiguous *row ranges*. One chain's
+//! connections can land in several workers, which is sound for the same
+//! reason as in the TSV ingest: every on-disk row folds at weight 1.0, so
+//! all the f64 aggregates are exact small integers and merging
+//! per-worker partials (in worker-index order) is bit-identical to the
+//! one-worker fold.
 //!
 //! The fold is vectorized: workers claim whole *segments*, ask the
 //! resolved [`ColFilter`] whether each segment can be skipped (by its

@@ -3,38 +3,35 @@
 //!
 //! The engine is generic over how records arrive: the batch path feeds it
 //! `&SslRecord` borrows with per-record weights, the streaming path feeds
-//! it owned records at weight 1.0. Either way only [`CHUNK`] records are
-//! in flight at once, so peak memory is O(distinct chains), not
-//! O(connections).
+//! it owned records at weight 1.0. Workers pull [`CHUNK`]-record batches
+//! from the shared source under a mutex, so the source (for Zeek input,
+//! the TSV parse) stays serialized while the folds run in parallel. At
+//! most one chunk per worker is in flight, so peak memory is O(distinct
+//! chains), not O(connections).
 //!
-//! Parallelism is *partition-dispatch*: the main thread reads one chunk,
-//! splits it by [`shard_of`] into per-shard batches, and hands each batch
-//! to a persistent worker over a bounded channel. Each chain belongs to
-//! exactly one shard and batches arrive in stream order, so every chain's
-//! f64 accumulation order equals the sequential fold — the root of the
-//! byte-identical-across-thread-counts guarantee. (The previous design
-//! instead had *every* worker rescan the whole record slice and keep only
-//! its shard's records — O(records × threads) total work, which made the
-//! pipeline scale *negatively* with thread count.)
+//! Each worker folds into its own accumulator map and the caller merges
+//! the partials with [`super::PipelineState::absorb`]. One chain's
+//! connections may land in several workers. That is exact at unit
+//! weight: every f64 aggregate is then a small integer, so the merged
+//! sums equal the one-worker fold bit for bit, whatever chunks each
+//! worker happened to pull — the root of the byte-identical-across-
+//! thread-counts guarantee. Fractional weights do not re-associate, so a
+//! weighted batch folds on one worker (see [`Pipeline::analyze`]).
 
+use super::state::PipelineState;
 use super::{Pipeline, SslItem};
 use crate::filtercat::CategoryOracle;
 use crate::model::ChainKey;
 use crate::usage::UsageStats;
+use certchain_colstore::CategorySet;
 use certchain_netsim::SslRecord;
-use certchain_x509::Fingerprint;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::mpsc::sync_channel;
+use std::sync::Mutex;
 
-/// Records ingested per dispatch round. Large enough to amortize channel
-/// and scheduling overhead, small enough that in-flight memory stays
+/// Records a worker pulls from the source at once. Large enough to
+/// amortize the source lock, small enough that in-flight memory stays
 /// negligible next to the per-chain accumulators.
 pub(crate) const CHUNK: usize = 8192;
-
-/// Bounded depth of each worker's batch queue: the main thread stalls
-/// instead of buffering unboundedly when workers fall behind.
-const CHANNEL_DEPTH: usize = 4;
 
 /// Per-chain connection accumulator.
 #[derive(Default, Clone)]
@@ -46,9 +43,8 @@ pub(crate) struct ChainAccum {
 impl ChainAccum {
     /// Merge another accumulator for the same chain. Every field is a
     /// commutative aggregate (integer-valued f64 sums at unit weight,
-    /// set unions), so merging per-worker partials in any fixed order
-    /// reproduces the sequential fold — the row-range-sharded columnar
-    /// path relies on this.
+    /// set unions), so merging per-worker partials in any order
+    /// reproduces the one-worker fold.
     pub(crate) fn merge(&mut self, other: ChainAccum) {
         self.usage.merge(&other.usage);
         self.snis.extend(other.snis);
@@ -76,19 +72,8 @@ pub(crate) struct IngestCounts {
     pub(crate) unresolvable: u64,
 }
 
-/// Stable shard id for a chain: FNV-1a over the fingerprint bytes. Must
-/// not vary across runs or platforms — shard membership decides which
-/// worker folds a chain's connection stream, and determinism relies on
-/// every chain living in exactly one shard.
-pub(crate) fn shard_of(fps: &[Fingerprint], shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for fp in fps {
-        for &b in &fp.0 {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    (h % shards as u64) as usize
-}
+/// One worker's share of a fold: its accumulator map and counts.
+pub(crate) type Partial = (HashMap<ChainKey, ChainAccum>, IngestCounts);
 
 /// Fold one resolvable record into its chain's accumulator.
 fn fold(accums: &mut HashMap<ChainKey, ChainAccum>, rec: &SslRecord, weight: f64) {
@@ -112,50 +97,19 @@ fn fold(accums: &mut HashMap<ChainKey, ChainAccum>, rec: &SslRecord, weight: f64
     }
 }
 
-/// Fold the record stream into per-chain accumulators (no certificate
-/// resolution — see [`IngestCounts`]) plus the run's counts. The
-/// returned map is one fold's worth of accumulation; callers merge it
-/// into longer-lived state ([`super::state::PipelineState`]) or hand it
-/// straight to finalize.
-///
-/// `oracle` is the resolved category predicate when the row filter asks
-/// for one (`None` otherwise); like the port/SNI tests it runs before
-/// any counter moves, so category-rejected records are invisible.
-pub(crate) fn accumulate<B, I>(
+/// Fold one pulled chunk into a worker's partial. The row filter (port,
+/// SNI, then the chain's structural category) runs before any counter
+/// moves: rejected records are invisible, which is what makes
+/// whole-segment zone-map and category-digest skipping in the columnar
+/// path equivalent to this per-record test.
+fn fold_chunk<B: SslItem>(
     pipe: &Pipeline<'_>,
-    records: I,
-    threads: usize,
-    oracle: Option<&CategoryOracle>,
-) -> (HashMap<ChainKey, ChainAccum>, IngestCounts)
-where
-    B: SslItem,
-    I: Iterator<Item = (B, f64)>,
-{
-    if threads <= 1 {
-        return sequential(pipe, records, oracle);
-    }
-    dispatch(pipe, records, threads, oracle)
-}
-
-/// The single-threaded fold — also the semantic reference the parallel
-/// path must reproduce byte-for-byte.
-fn sequential<B, I>(
-    pipe: &Pipeline<'_>,
-    records: I,
-    oracle: Option<&CategoryOracle>,
-) -> (HashMap<ChainKey, ChainAccum>, IngestCounts)
-where
-    B: SslItem,
-    I: Iterator<Item = (B, f64)>,
-{
-    let mut accums: HashMap<ChainKey, ChainAccum> = HashMap::new();
-    let mut counts = IngestCounts::default();
-    for (item, weight) in records {
+    chunk: Vec<(B, f64)>,
+    categories: Option<(CategorySet, &CategoryOracle)>,
+    (accums, counts): &mut Partial,
+) {
+    for (item, weight) in chunk {
         let rec = item.borrow();
-        // The filter runs before any accounting: rejected records are
-        // invisible, which is what makes whole-segment zone-map and
-        // category-digest skipping in the columnar path equivalent to
-        // this per-record test.
         if !pipe
             .options
             .filter
@@ -163,137 +117,77 @@ where
         {
             continue;
         }
-        if let Some(oracle) = oracle {
-            if !oracle.admits(&rec.cert_chain_fps) {
+        if let Some((set, oracle)) = categories {
+            if !set.contains(oracle.category(&rec.cert_chain_fps)) {
                 continue;
             }
         }
         counts.records += 1;
-        if counts.records % CHUNK as u64 == 0 {
-            pipe.obs.tick(counts.records, 0, &[]);
-        }
         if rec.cert_chain_fps.is_empty() {
             counts.no_chain += 1;
             continue;
         }
-        fold(&mut accums, rec, weight);
+        fold(accums, rec, weight);
     }
-    pipe.obs.finish_progress(counts.records);
-    (accums, counts)
 }
 
-/// The parallel fold: one persistent worker per shard, fed per-shard
-/// batches by the main thread, which performs the only scan of the record
-/// stream. Counters are sums (order-insensitive); per-chain accumulation
-/// order is the batch arrival order, i.e. global stream order.
+/// Fold the record stream on `threads` workers into per-worker partials
+/// (no certificate resolution — see [`IngestCounts`]); callers merge them
+/// into `state` with [`PipelineState::absorb`].
 ///
-/// Progress instrumentation rides the dispatch loop: each shard carries
-/// an in-flight batch counter (incremented on send, decremented by the
-/// worker) and a processed-record tally, giving the reporter queue depth
-/// and per-worker throughput without any extra synchronization on the
-/// fold itself. Those values are scheduling-dependent and go only to
-/// stderr — the deterministic counters come from [`IngestCounts`].
-fn dispatch<B, I>(
+/// A category row filter is resolved against `state`'s certificate
+/// table, so the x509 side must have fully folded first — a partial
+/// table would call resolvable chains `incomplete`.
+pub(crate) fn accumulate<B, I>(
     pipe: &Pipeline<'_>,
-    mut records: I,
+    state: &PipelineState,
+    records: I,
     threads: usize,
-    oracle: Option<&CategoryOracle>,
-) -> (HashMap<ChainKey, ChainAccum>, IngestCounts)
+) -> Vec<Partial>
 where
     B: SslItem,
-    I: Iterator<Item = (B, f64)>,
+    I: Iterator<Item = (B, f64)> + Send,
 {
-    let shards = threads;
-    let tspan = pipe.obs.trace_span("pipeline.dispatch");
-    let mut counts = IngestCounts::default();
-    let in_flight: Vec<AtomicUsize> = (0..shards).map(|_| AtomicUsize::new(0)).collect();
-    let worker_records: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
-    let results: Vec<HashMap<ChainKey, ChainAccum>> = std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = sync_channel::<Vec<(B, f64)>>(CHANNEL_DEPTH);
-            senders.push(tx);
-            let in_flight = &in_flight[shard];
-            let processed = &worker_records[shard];
-            handles.push(scope.spawn(move || {
-                let mut accums: HashMap<ChainKey, ChainAccum> = HashMap::new();
-                while let Ok(batch) = rx.recv() {
-                    processed.fetch_add(batch.len() as u64, Relaxed);
-                    for (item, weight) in batch {
-                        fold(&mut accums, item.borrow(), weight);
-                    }
-                    in_flight.fetch_sub(1, Relaxed);
-                }
-                accums
-            }));
-        }
-        // The only scan: read a chunk, partition it, dispatch it.
-        let mut batches: Vec<Vec<(B, f64)>> = (0..shards).map(|_| Vec::new()).collect();
+    let trace = pipe.obs.trace_span("pipeline.ingest");
+    let oracle = pipe
+        .options
+        .filter
+        .categories
+        .map(|set| (set, state.category_oracle(pipe.trust)));
+    let categories = oracle.as_ref().map(|(set, oracle)| (*set, oracle));
+    // The source plus the number of records pulled from it so far (the
+    // progress count: records read, before the row filter).
+    let source = Mutex::new((records.fuse(), 0u64));
+    let worker = || {
+        let mut part = Partial::default();
         loop {
-            let mut saw_any = false;
-            for (item, weight) in records.by_ref().take(CHUNK) {
-                saw_any = true;
-                {
-                    // Same invisibility rule as the sequential reference:
-                    // reject before any counter moves.
-                    let rec = item.borrow();
-                    if !pipe
-                        .options
-                        .filter
-                        .admits(rec.resp_p, rec.server_name.as_deref())
-                    {
-                        continue;
-                    }
-                    if let Some(oracle) = oracle {
-                        if !oracle.admits(&rec.cert_chain_fps) {
-                            continue;
-                        }
-                    }
-                }
-                counts.records += 1;
-                if item.borrow().cert_chain_fps.is_empty() {
-                    counts.no_chain += 1;
-                    continue;
-                }
-                let shard = shard_of(&item.borrow().cert_chain_fps, shards);
-                batches[shard].push((item, weight));
+            let (chunk, pulled) = {
+                let mut guard = source.lock().expect("ingest source poisoned");
+                let (records, pulled) = &mut *guard;
+                let chunk: Vec<(B, f64)> = records.by_ref().take(CHUNK).collect();
+                *pulled += chunk.len() as u64;
+                (chunk, *pulled)
+            };
+            if chunk.is_empty() {
+                return part;
             }
-            for (shard, batch) in batches.iter_mut().enumerate() {
-                if !batch.is_empty() {
-                    in_flight[shard].fetch_add(1, Relaxed);
-                    senders[shard]
-                        .send(std::mem::take(batch))
-                        .expect("accumulation worker hung up early");
-                }
-            }
-            if pipe.obs.progress.is_some() {
-                let depth: usize = in_flight.iter().map(|d| d.load(Relaxed)).sum();
-                let per_worker: Vec<u64> = worker_records.iter().map(|w| w.load(Relaxed)).collect();
-                pipe.obs.tick(counts.records, depth, &per_worker);
-            }
-            if !saw_any {
-                break;
-            }
+            pipe.obs.tick(pulled);
+            fold_chunk(pipe, chunk, categories, &mut part);
         }
-        drop(senders);
+    };
+    let parts: Vec<Partial> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.max(1)).map(|_| scope.spawn(worker)).collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("accumulation worker panicked"))
+            .map(|h| h.join().expect("ingest worker panicked"))
             .collect()
     });
-    pipe.obs.finish_progress(counts.records);
-    if let Some(t) = &tspan {
-        t.attr("shards", shards.to_string());
-        t.attr("records", counts.records.to_string());
+    let (_, pulled) = source.into_inner().expect("ingest source poisoned");
+    pipe.obs.finish_progress(pulled);
+    if let Some(t) = &trace {
+        let records: u64 = parts.iter().map(|(_, counts)| counts.records).sum();
+        t.attr("records", records.to_string());
+        t.attr("workers", parts.len().to_string());
     }
-    drop(tspan);
-    // Shards partition the chain space, so the per-worker maps are
-    // disjoint and this is pure collection, not merging.
-    let mut accums = HashMap::with_capacity(results.iter().map(HashMap::len).sum());
-    for part in results {
-        // srclint: commutative -- disjoint per-shard maps collected into a keyed map; insertion order is invisible
-        accums.extend(part);
-    }
-    (accums, counts)
+    parts
 }

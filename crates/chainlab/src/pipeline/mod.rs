@@ -161,11 +161,10 @@ pub struct PipelineOptions {
     /// 1 disables corroboration; the default is 2.
     pub confirmation_min_domains: usize,
     /// Worker threads for the parallel stages. `0` (the default) resolves
-    /// to the machine's available parallelism; `1` runs the fully
-    /// sequential path. The output is byte-identical for every value:
-    /// chains are sharded by a stable hash of their fingerprint sequence,
-    /// the record stream is partitioned to workers in order (so each
-    /// chain's connections are folded in global record order), and
+    /// to the machine's available parallelism. The output is
+    /// byte-identical for every value: ingest workers pull record chunks
+    /// and their per-chain partials merge exactly (unit-weight sums are
+    /// small integers; a weighted batch folds on one worker), and
     /// per-chain results merge in `ChainKey` order.
     pub threads: usize,
     /// Connection predicate; the default admits everything. See
@@ -240,19 +239,20 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Attach a progress reporter, driven from the ingest dispatch loop
-    /// (records/sec, chunk queue depth, per-worker throughput). Progress
-    /// goes to stderr only and never into any emitted artifact.
+    /// Attach a progress reporter, ticked as ingest workers pull record
+    /// chunks (records read, records/sec). Progress goes to stderr only
+    /// and never into any emitted artifact.
     pub fn with_progress(mut self, progress: Arc<Progress>) -> Pipeline<'a> {
         self.obs.progress = Some(progress);
         self
     }
 
-    /// Attach a trace journal. Fold, finalize, and dispatch stages then
-    /// emit spans into the journal's bounded ring. Traces are wall-clock
-    /// data and live strictly on the timing side of the observability
-    /// split: the analysis output and the deterministic metrics section
-    /// are byte-identical with tracing on or off (pinned by tests).
+    /// Attach a trace journal. The enrich, ingest, resolve, categorize
+    /// and finalize stages then emit spans into the journal's bounded
+    /// ring. Traces are wall-clock data and live strictly on the timing
+    /// side of the observability split: the analysis output and the
+    /// deterministic metrics section are byte-identical with tracing on
+    /// or off (pinned by tests).
     pub fn with_trace(mut self, journal: Arc<TraceJournal>) -> Pipeline<'a> {
         self.obs.trace = Some(journal);
         self
@@ -266,6 +266,8 @@ impl<'a> Pipeline<'a> {
     ///
     /// The stages run on [`PipelineOptions::threads`] workers; the result
     /// is byte-identical for every thread count (see the options docs).
+    /// A weighted batch ingests on one worker, because fractional f64
+    /// sums do not re-associate.
     pub fn analyze(
         &self,
         ssl: &[SslRecord],
@@ -280,12 +282,11 @@ impl<'a> Pipeline<'a> {
         self.fold_x509_slice(&mut state, x509, threads);
         let weight_of = |i: usize| weights.map(|w| w[i]).unwrap_or(1.0);
         let records = ssl.iter().enumerate().map(|(i, rec)| (rec, weight_of(i)));
+        let workers = if weights.is_some() { 1 } else { threads };
         {
             let _span = self.obs.stage("ingest");
-            let _trace = self.obs.trace_span("pipeline.ingest");
-            let oracle = self.category_oracle(&state);
-            let (accums, counts) = ingest::accumulate(self, records, threads, oracle.as_ref());
-            state.absorb(accums, counts);
+            let parts = ingest::accumulate(self, &state, records, workers);
+            state.absorb(parts);
         }
         self.finalize_state(&state)
     }
@@ -303,27 +304,14 @@ impl<'a> Pipeline<'a> {
     /// count.
     pub fn analyze_stream<E, I, J>(&self, ssl: I, x509: J) -> Result<Analysis, E>
     where
-        I: Iterator<Item = Result<SslRecord, E>>,
+        E: Send,
+        I: Iterator<Item = Result<SslRecord, E>> + Send,
         J: Iterator<Item = Result<X509Record, E>>,
     {
         let mut state = PipelineState::new();
         self.fold_x509_stream(&mut state, x509)?;
         self.fold_ssl_stream(&mut state, ssl)?;
         Ok(self.finalize_state(&state))
-    }
-
-    /// Build the category predicate for the record paths, when the
-    /// filter asks for one. Must run only after the x509 side has fully
-    /// folded into `state` — the oracle snapshots the certificate table,
-    /// and a partial table would call resolvable chains `incomplete`.
-    pub(crate) fn category_oracle(
-        &self,
-        state: &PipelineState,
-    ) -> Option<crate::filtercat::CategoryOracle> {
-        self.options
-            .filter
-            .categories
-            .map(|set| state.category_oracle(set, self.trust))
     }
 
     /// Record enrich-stage accounting: row totals, parse failures, and
@@ -723,6 +711,34 @@ mod tests {
             .ssl_records
             .iter()
             .take(100)
+            .cloned()
+            .map(Ok)
+            .chain(std::iter::once(Err("bad row")));
+        let x509 = trace.x509_records.iter().cloned().map(Ok);
+        let err = pipeline.analyze_stream(ssl, x509).unwrap_err();
+        assert_eq!(err, "bad row");
+    }
+
+    #[test]
+    fn parallel_stream_returns_error_after_many_chunks() {
+        // The error arrives after several full chunks have gone to other
+        // workers: every worker must still drain and join, and the error
+        // must come back as-is.
+        let (trace, _analysis) = analysis();
+        let pipeline = Pipeline::with_options(
+            &trace.eco.trust,
+            &trace.ct_index,
+            CrossSignRegistry::from_disclosures(&trace.cross_sign_disclosures),
+            PipelineOptions {
+                threads: 4,
+                ..PipelineOptions::default()
+            },
+        );
+        let ssl = trace
+            .ssl_records
+            .iter()
+            .cycle()
+            .take(20_000)
             .cloned()
             .map(Ok)
             .chain(std::iter::once(Err("bad row")));

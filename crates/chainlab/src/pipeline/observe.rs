@@ -9,9 +9,9 @@
 //! Determinism discipline: everything recorded through this module into
 //! the registry is derived from thread-count-invariant state — record
 //! totals (commutative integer sums), post-merge collection sizes, and
-//! the deterministic chain set. Scheduling-dependent values (queue
-//! depths, per-worker throughput) go only to the progress reporter,
-//! which writes to stderr and never into an artifact.
+//! the deterministic chain set. Scheduling-dependent values (record
+//! rates) go only to the progress reporter, which writes to stderr and
+//! never into an artifact.
 
 use certchain_obs::{Progress, Registry, Span, StageTimer, TraceJournal};
 use std::sync::Arc;
@@ -56,9 +56,9 @@ impl PipelineObs {
     }
 
     /// Forward a progress tick (rate-limited by the reporter).
-    pub(crate) fn tick(&self, records: u64, queue_depth: usize, per_worker: &[u64]) {
+    pub(crate) fn tick(&self, records: u64) {
         if let Some(p) = &self.progress {
-            p.tick(records, queue_depth, per_worker);
+            p.tick(records);
         }
     }
 

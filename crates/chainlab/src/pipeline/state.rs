@@ -52,7 +52,7 @@
 
 use super::categorize::Prepared;
 use super::enrich::CertIndex;
-use super::ingest::{ChainAccum, IngestCounts};
+use super::ingest::{ChainAccum, IngestCounts, Partial};
 use super::Pipeline;
 use crate::classify::{classify, CertClass};
 use crate::model::{CertRecord, ChainKey};
@@ -251,19 +251,22 @@ impl PipelineState {
         self.revision += 1;
     }
 
-    /// Absorb one fold's accumulator map and counts. Chain merges are
-    /// exact at unit weight (integer-valued sums, set unions), so
-    /// absorbing per-file folds reproduces the one-shot batch fold
-    /// bit-for-bit.
-    pub(crate) fn absorb(&mut self, accums: HashMap<ChainKey, ChainAccum>, counts: IngestCounts) {
-        self.records += counts.records;
-        self.no_chain += counts.no_chain;
-        // srclint: commutative -- merging into a keyed map; each chain's merge order is the fold-call order, not the iteration order
-        for (key, accum) in accums {
-            match self.chains.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(accum),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(accum);
+    /// Absorb one fold's per-worker partials (accumulator maps and
+    /// counts). Chain merges are exact at unit weight (integer-valued
+    /// sums, set unions), so absorbing per-worker and per-file folds
+    /// reproduces the one-shot batch fold bit-for-bit. A weighted batch
+    /// arrives as one partial into an empty state, which is a plain move.
+    pub(crate) fn absorb(&mut self, parts: Vec<Partial>) {
+        for (accums, counts) in parts {
+            self.records += counts.records;
+            self.no_chain += counts.no_chain;
+            // srclint: commutative -- merging into a keyed map; per-chain merges are exact at unit weight, so worker and iteration order are invisible
+            for (key, accum) in accums {
+                match self.chains.entry(key) {
+                    std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(accum),
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(accum);
+                    }
                 }
             }
         }
@@ -281,7 +284,7 @@ impl PipelineState {
         &self,
         trust: &certchain_trust::TrustDb,
     ) -> [u64; certchain_colstore::CATEGORY_COUNT] {
-        let oracle = self.category_oracle(certchain_colstore::CategorySet::empty(), trust);
+        let oracle = self.category_oracle(trust);
         let mut counts = [0u64; certchain_colstore::CATEGORY_COUNT];
         counts[certchain_colstore::Category::NoChain.index()] = self.no_chain;
         // srclint: commutative — u64 additions into per-category slots
@@ -308,11 +311,9 @@ impl PipelineState {
     /// and push chains into `incomplete`.
     pub(crate) fn category_oracle(
         &self,
-        set: certchain_colstore::CategorySet,
         trust: &certchain_trust::TrustDb,
     ) -> crate::filtercat::CategoryOracle {
         crate::filtercat::CategoryOracle::new(
-            set,
             self.certs
                 .iter()
                 .zip(&self.parsed)
@@ -640,8 +641,8 @@ impl Pipeline<'_> {
     }
 
     /// Fold a fallible ssl record stream into `state` — the resumable
-    /// form of the ingest stage, sharded across
-    /// [`super::PipelineOptions::threads`] workers exactly like the batch
+    /// form of the ingest stage, on [`super::PipelineOptions::threads`]
+    /// workers pulling record chunks exactly like the unit-weight batch
     /// fold. Certificate resolution is deferred to finalize, so this
     /// never needs the x509 side to have arrived first — *unless* the
     /// row filter names categories, whose predicate snapshots the
@@ -650,22 +651,21 @@ impl Pipeline<'_> {
     /// the incremental serve daemon does not expose category filtering).
     pub fn fold_ssl_stream<E, I>(&self, state: &mut PipelineState, ssl: I) -> Result<(), E>
     where
-        I: Iterator<Item = Result<certchain_netsim::SslRecord, E>>,
+        E: Send,
+        I: Iterator<Item = Result<certchain_netsim::SslRecord, E>> + Send,
     {
         let _span = self.obs.stage("ingest");
-        let _trace = self.obs.trace_span("pipeline.ingest");
         let threads = super::resolve_threads(self.options.threads);
-        let oracle = self.category_oracle(state);
         let mut first_err: Option<E> = None;
         let records = super::FuseOnErr {
             inner: ssl,
             err: &mut first_err,
         };
-        let (accums, counts) = super::ingest::accumulate(self, records, threads, oracle.as_ref());
+        let parts = super::ingest::accumulate(self, state, records, threads);
         if let Some(e) = first_err {
             return Err(e);
         }
-        state.absorb(accums, counts);
+        state.absorb(parts);
         Ok(())
     }
 

@@ -1,15 +1,16 @@
-//! Property test for the chunk-partition-dispatch ingestion invariant.
+//! Property test for the chunked ingestion invariant.
 //!
-//! `Pipeline::analyze` shards chains by a stable fingerprint hash and
-//! partitions the record stream to workers in global order, so the fold
-//! each chain sees is identical for every thread count. This test feeds
-//! random batches — chains drawn from a small certificate pool, empty
-//! chains (TLS 1.3), unresolvable fingerprints, duplicated chains with
-//! distinct connection metadata, non-trivial weights — through the
-//! pipeline at thread counts 2..=8 and requires the full `Analysis` to
-//! be identical (f64 fields bit-for-bit) to the sequential fold. A
-//! fixed deterministic case larger than one ingest chunk (8192 records)
-//! exercises the multi-chunk dispatch path.
+//! `Pipeline::analyze` folds unit-weight input on chunk-pulling workers
+//! and merges their per-chain partials exactly, and folds a weighted
+//! batch on one worker in stream order, so the fold each chain sees is
+//! identical for every thread count. This test feeds random batches —
+//! chains drawn from a small certificate pool, empty chains (TLS 1.3),
+//! unresolvable fingerprints, duplicated chains with distinct connection
+//! metadata — both with unit weights and with non-trivial weights,
+//! through the pipeline at thread counts 2..=8 and requires the full
+//! `Analysis` to be identical (f64 fields bit-for-bit) to the
+//! single-worker fold. A fixed deterministic case larger than one ingest
+//! chunk (8192 records) exercises the multi-worker merge.
 //!
 //! Every run also attaches a fresh metrics registry and requires the
 //! snapshot's *deterministic* section (counters, gauges, histograms —
@@ -128,7 +129,7 @@ fn arb_conn() -> impl Strategy<Value = SslRecord> {
 fn run(
     ssl: &[SslRecord],
     x509: &[X509Record],
-    weights: &[f64],
+    weights: Option<&[f64]>,
     threads: usize,
 ) -> (Analysis, String) {
     let trust = TrustDb::new();
@@ -144,7 +145,7 @@ fn run(
         },
     )
     .with_metrics(std::sync::Arc::clone(&registry));
-    let analysis = pipeline.analyze(ssl, x509, Some(weights));
+    let analysis = pipeline.analyze(ssl, x509, weights);
     (analysis, registry.snapshot().deterministic_fingerprint())
 }
 
@@ -201,10 +202,13 @@ fn canon(a: &Analysis) -> String {
     out
 }
 
-/// Non-uniform but deterministic per-record weights, so dispatch-order
-/// mistakes show up as f64 summation differences.
+/// Non-uniform but deterministic per-record weights, so fold-order
+/// mistakes show up as f64 summation differences. Multiples of 0.1 are
+/// not dyadic, so their sums depend on grouping; multiples of 0.5 would
+/// sum exactly in any order and hide a weighted batch split across
+/// workers.
 fn weights_for(n: usize) -> Vec<f64> {
-    (0..n).map(|i| ((i % 7) + 1) as f64 * 0.5).collect()
+    (0..n).map(|i| ((i % 7) + 1) as f64 * 0.1).collect()
 }
 
 proptest! {
@@ -217,26 +221,30 @@ proptest! {
     ) {
         let x509 = cert_pool();
         let weights = weights_for(records.len());
-        let (seq_analysis, seq_metrics) = run(&records, &x509, &weights, 1);
-        let (par_analysis, par_metrics) = run(&records, &x509, &weights, threads);
-        prop_assert_eq!(
-            canon(&seq_analysis),
-            canon(&par_analysis),
-            "threads = {} diverged",
-            threads
-        );
-        prop_assert_eq!(
-            seq_metrics,
-            par_metrics,
-            "metrics snapshot diverged at threads = {}",
-            threads
-        );
+        for weights in [None, Some(&weights[..])] {
+            let (seq_analysis, seq_metrics) = run(&records, &x509, weights, 1);
+            let (par_analysis, par_metrics) = run(&records, &x509, weights, threads);
+            prop_assert_eq!(
+                canon(&seq_analysis),
+                canon(&par_analysis),
+                "threads = {} diverged (weighted: {})",
+                threads,
+                weights.is_some()
+            );
+            prop_assert_eq!(
+                seq_metrics,
+                par_metrics,
+                "metrics snapshot diverged at threads = {}",
+                threads
+            );
+        }
     }
 }
 
-/// The dispatch path splits work in `CHUNK = 8192`-record slices; a batch
-/// spanning several chunks must still fold every chain in global record
-/// order. 20k records cover three chunks with a partial tail.
+/// Workers pull `CHUNK = 8192`-record slices, so at unit weight a batch
+/// spanning several chunks folds one chain on several workers and merges
+/// the partials; a weighted batch must still fold every chain in global
+/// record order. 20k records cover three chunks with a partial tail.
 #[test]
 fn multi_chunk_batches_stay_invariant() {
     let x509 = cert_pool();
@@ -263,19 +271,22 @@ fn multi_chunk_batches_stay_invariant() {
         })
         .collect();
     let weights = weights_for(records.len());
-    let (seq_analysis, seq_metrics) = run(&records, &x509, &weights, 1);
-    let sequential = canon(&seq_analysis);
-    for threads in [2, 5, 8] {
-        let (par_analysis, par_metrics) = run(&records, &x509, &weights, threads);
-        assert_eq!(
-            sequential,
-            canon(&par_analysis),
-            "threads = {threads} diverged"
-        );
-        assert_eq!(
-            seq_metrics, par_metrics,
-            "metrics snapshot diverged at threads = {threads}"
-        );
+    for weights in [None, Some(&weights[..])] {
+        let (seq_analysis, seq_metrics) = run(&records, &x509, weights, 1);
+        let sequential = canon(&seq_analysis);
+        for threads in [2, 5, 8] {
+            let (par_analysis, par_metrics) = run(&records, &x509, weights, threads);
+            assert_eq!(
+                sequential,
+                canon(&par_analysis),
+                "threads = {threads} diverged (weighted: {})",
+                weights.is_some()
+            );
+            assert_eq!(
+                seq_metrics, par_metrics,
+                "metrics snapshot diverged at threads = {threads}"
+            );
+        }
     }
 }
 
@@ -353,7 +364,7 @@ proptest! {
             .filter(|(rec, _)| set.contains(manual_category(rec)))
             .map(|(rec, w)| (rec.clone(), *w))
             .unzip();
-        let (oracle_analysis, _) = run(&kept, &x509, &kept_weights, 1);
+        let (oracle_analysis, _) = run(&kept, &x509, Some(&kept_weights), 1);
         let want = canon(&oracle_analysis);
         let (seq_analysis, seq_metrics) = run_filtered(&records, &x509, &weights, 1, set);
         prop_assert_eq!(&canon(&seq_analysis), &want, "sequential filter diverged");

@@ -23,7 +23,7 @@ pub struct AnalyzeOptions {
     pub json: bool,
     /// Write a `certchain-metrics/v1` snapshot to this path.
     pub metrics_json: Option<PathBuf>,
-    /// Report live progress (records/sec, queue depth) on stderr.
+    /// Report live progress (records read, records/sec) on stderr.
     pub progress: bool,
     /// Print the stage-timing and counter summary on stderr at the end.
     pub verbose: bool,
@@ -233,8 +233,9 @@ fn run_observed(
 }
 
 /// The columnar counterpart of [`run_observed`]: map the store, fold
-/// straight off the columns — no parse stage, no dispatch thread. The
-/// report is byte-identical to the TSV path over the same records.
+/// straight off the columns — no parse stage and no serialized record
+/// source. The report is byte-identical to the TSV path over the same
+/// records.
 fn run_observed_colstore(
     dir: &Path,
     opts: &AnalyzeOptions,

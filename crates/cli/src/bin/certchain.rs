@@ -59,7 +59,7 @@ USAGE:
 
   Observability (both commands; never changes the output bytes):
       --metrics-json <path>  write a certchain-metrics/v1 snapshot
-      --progress             live records/sec + queue depth on stderr
+      --progress             live records read + records/sec on stderr
       -v, --verbose          stage timings and counters on stderr (analyze)
   certchain serve --dir <dir> --spool <dir> --checkpoint <dir>
                   [--listen <addr>] [--listen-addr-file <path>]

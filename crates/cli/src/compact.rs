@@ -17,9 +17,9 @@
 //! itself, printing a one-line notice, instead of demanding operator
 //! surgery.
 
-use crate::catdigest::CatCodes;
 use crate::dataset::{colstore_dir, load_trust};
 use crate::{io_ctx, CliError, CliResult};
+use certchain_chainlab::CategoryOracle;
 use certchain_colstore::{
     DatasetReader, DatasetWriter, MapMode, WriterOptions, DEFAULT_SEGMENT_ROWS,
 };
@@ -105,16 +105,16 @@ pub fn compact_opts(dir: &Path, opts: &CompactOptions) -> CliResult<String> {
         // identical sequence and the rewritten store is byte-stable.
         // Streaming x509 first is also what makes the digest backfill
         // possible: the class table is complete before any ssl row.
-        let mut codes = CatCodes::new();
+        let mut categories = CategoryOracle::default();
         for rec in reader.x509_iter().map_err(col_err)? {
             let rec = rec.map_err(col_err)?;
             if let Some(trust) = &trust {
-                codes.note(&rec, trust);
+                categories.note(&rec, trust);
             }
             writer.append_x509(&rec).map_err(col_err)?;
         }
         if trust.is_some() {
-            writer = writer.with_category_provider(codes.into_provider());
+            writer = writer.with_category_provider(categories.into_provider());
         }
         for rec in reader.ssl_iter().map_err(col_err)? {
             writer.append_ssl(&rec.map_err(col_err)?).map_err(col_err)?;

@@ -8,9 +8,9 @@
 //! last, so an interrupted conversion never leaves a store that
 //! `analyze` would auto-detect.
 
-use crate::catdigest::CatCodes;
 use crate::dataset::{colstore_dir, load_trust};
 use crate::{io_ctx, CliError, CliResult};
+use certchain_chainlab::CategoryOracle;
 use certchain_colstore::{DatasetWriter, WriterOptions, DEFAULT_SEGMENT_ROWS, MANIFEST_FILE};
 use certchain_netsim::{SslLogStream, X509LogStream};
 use certchain_obs::Registry;
@@ -65,11 +65,11 @@ pub fn convert_opts(dir: &Path, opts: &ConvertOptions) -> CliResult<String> {
             .map_err(io_ctx(format!("reading {}/x509.log", dir.display())))?;
         let x509_stream = X509LogStream::permissive(std::io::BufReader::new(x509_file));
         let x509_stats = x509_stream.stats();
-        let mut codes = CatCodes::new();
+        let mut categories = CategoryOracle::default();
         for rec in x509_stream {
             let rec = rec.map_err(|e| CliError::Invalid(format!("x509.log: {e}")))?;
             if let Some(trust) = &trust {
-                codes.note(&rec, trust);
+                categories.note(&rec, trust);
             }
             writer.append_x509(&rec).map_err(col_err)?;
         }
@@ -77,7 +77,7 @@ pub fn convert_opts(dir: &Path, opts: &ConvertOptions) -> CliResult<String> {
         // now decidable — attach the digest provider before the first
         // ssl row lands.
         if trust.is_some() {
-            writer = writer.with_category_provider(codes.into_provider());
+            writer = writer.with_category_provider(categories.into_provider());
         }
 
         let ssl_file = std::fs::File::open(dir.join("ssl.log"))

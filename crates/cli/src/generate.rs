@@ -188,7 +188,7 @@ impl<W1: Write, W2: Write> TraceSink for FileSink<W1, W2> {
         self.ssl_count += 1;
         if let Some(p) = &self.progress {
             if self.ssl_count % PROGRESS_EVERY == 0 {
-                p.tick(self.ssl_count, 0, &[]);
+                p.tick(self.ssl_count);
             }
         }
         self.ssl.record(&record).map_err(io_ctx("writing ssl.log"))
@@ -218,7 +218,7 @@ impl TraceSink for ColumnarSink {
         if let Some(p) = &self.progress {
             let (ssl_count, _) = self.writer.rows();
             if ssl_count % PROGRESS_EVERY == 0 {
-                p.tick(ssl_count, 0, &[]);
+                p.tick(ssl_count);
             }
         }
         Ok(())

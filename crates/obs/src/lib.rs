@@ -25,7 +25,7 @@
 //!   strictly confined to the timing side of the snapshot split.
 //! - [`prom`]: Prometheus text-format exposition for snapshots.
 //! - [`progress`]: a throttled stderr [`Progress`] reporter
-//!   (records/sec, chunk queue depth, per-worker throughput).
+//!   (records read, records/sec).
 //! - [`json`]: the workspace's self-contained JSON value type (moved
 //!   here from `chainlab` so every layer, including this one, can emit
 //!   JSON without a dependency cycle; `chainlab` re-exports it).

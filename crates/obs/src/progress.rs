@@ -3,8 +3,9 @@
 //! Progress output is wall-clock territory by definition, so it goes to
 //! stderr only (never into any emitted artifact) and all its clock reads
 //! go through [`crate::clock`]. Producers call [`Progress::tick`] from
-//! their dispatch loop as often as they like; lines are emitted at most
-//! once per interval, and [`Progress::finish`] prints a final summary.
+//! their read loop as often as they like (from any thread); lines are
+//! emitted at most once per interval, and [`Progress::finish`] prints a
+//! final summary.
 
 use crate::clock::Stopwatch;
 use std::sync::Mutex;
@@ -45,13 +46,9 @@ impl Progress {
         }
     }
 
-    /// Report the current totals; prints a line if the interval elapsed.
-    ///
-    /// `records` is the cumulative record count, `queue_depth` the number
-    /// of dispatched-but-unprocessed chunks across all workers, and
-    /// `per_worker` the cumulative records handled by each worker (empty
-    /// for single-threaded producers).
-    pub fn tick(&self, records: u64, queue_depth: usize, per_worker: &[u64]) {
+    /// Report the cumulative record count; prints a line if the interval
+    /// elapsed.
+    pub fn tick(&self, records: u64) {
         let now_ms = self.watch.elapsed_ms();
         let mut state = self.state.lock().expect("progress state poisoned");
         if state.emitted > 0 && now_ms - state.last_emit_ms < self.interval_ms {
@@ -63,17 +60,7 @@ impl Progress {
         state.last_records = records;
         state.emitted += 1;
         drop(state);
-        eprintln!(
-            "{}",
-            render_line(
-                &self.label,
-                records,
-                inst_rate,
-                now_ms,
-                queue_depth,
-                per_worker
-            )
-        );
+        eprintln!("{}", render_line(&self.label, records, inst_rate, now_ms));
     }
 
     /// Print the final summary line (always emitted).
@@ -90,35 +77,15 @@ impl Progress {
 }
 
 /// Build one progress line (pure; unit-tested without touching stderr).
-fn render_line(
-    label: &str,
-    records: u64,
-    inst_rate: f64,
-    elapsed_ms: f64,
-    queue_depth: usize,
-    per_worker: &[u64],
-) -> String {
-    let elapsed_secs = (elapsed_ms / 1e3).max(1e-9);
-    let avg_rate = records as f64 / elapsed_secs;
-    let mut line = format!(
-        "[{}] {} records · {} rec/s (avg {}) · queue {}",
+fn render_line(label: &str, records: u64, inst_rate: f64, elapsed_ms: f64) -> String {
+    let avg_rate = records as f64 / (elapsed_ms / 1e3).max(1e-9);
+    format!(
+        "[{}] {} records · {} rec/s (avg {})",
         label,
         human(records as f64),
         human(inst_rate),
-        human(avg_rate),
-        queue_depth
-    );
-    if !per_worker.is_empty() {
-        let lo = per_worker.iter().copied().min().unwrap_or(0);
-        let hi = per_worker.iter().copied().max().unwrap_or(0);
-        line.push_str(&format!(
-            " · {} workers [{}..{} rec/s]",
-            per_worker.len(),
-            human(lo as f64 / elapsed_secs),
-            human(hi as f64 / elapsed_secs)
-        ));
-    }
-    line
+        human(avg_rate)
+    )
 }
 
 /// Compact human magnitude: `812`, `45.3k`, `2.1M`.
@@ -137,18 +104,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_rates_queue_and_worker_spread() {
-        let line = render_line("analyze", 100_000, 50_000.0, 2_000.0, 3, &[20_000, 30_000]);
-        assert_eq!(
-            line,
-            "[analyze] 100.0k records · 50.0k rec/s (avg 50.0k) · queue 3 · 2 workers [10.0k..15.0k rec/s]"
-        );
-    }
-
-    #[test]
-    fn omits_worker_spread_when_sequential() {
-        let line = render_line("gen", 812, 812.0, 1_000.0, 0, &[]);
-        assert_eq!(line, "[gen] 812 records · 812 rec/s (avg 812) · queue 0");
+    fn renders_count_and_rates() {
+        let line = render_line("analyze", 100_000, 50_000.0, 2_000.0);
+        assert_eq!(line, "[analyze] 100.0k records · 50.0k rec/s (avg 50.0k)");
+        let line = render_line("gen", 812, 812.0, 1_000.0);
+        assert_eq!(line, "[gen] 812 records · 812 rec/s (avg 812)");
     }
 
     #[test]
@@ -161,9 +121,9 @@ mod tests {
     #[test]
     fn tick_rate_limit_suppresses_rapid_calls() {
         let p = Progress::with_interval_ms("t", 60_000.0);
-        p.tick(1, 0, &[]);
-        p.tick(2, 0, &[]);
-        p.tick(3, 0, &[]);
+        p.tick(1);
+        p.tick(2);
+        p.tick(3);
         let state = p.state.lock().unwrap();
         assert_eq!(
             state.emitted, 1,
@@ -174,8 +134,8 @@ mod tests {
     #[test]
     fn zero_interval_emits_every_tick() {
         let p = Progress::with_interval_ms("t", 0.0);
-        p.tick(1, 0, &[]);
-        p.tick(2, 0, &[]);
+        p.tick(1);
+        p.tick(2);
         assert_eq!(p.state.lock().unwrap().emitted, 2);
     }
 }
