@@ -177,8 +177,9 @@ struct Corpus<'a> {
 /// pre-rendered at publish time; `/metrics` is rendered per request by
 /// merging the stored finalize snapshot with the live serve-loop
 /// registry (whose stage timings and HTTP accounting move between
-/// publishes).
-#[derive(Debug, Clone, Default)]
+/// publishes). Shared as an `Arc` that each publish replaces, so a
+/// request holds the lock only to clone the pointer.
+#[derive(Debug, Default)]
 struct Published {
     report: String,
     report_json: String,
@@ -189,7 +190,7 @@ struct Published {
 /// Shared state captured by the HTTP handler.
 #[derive(Clone)]
 struct Endpoints {
-    published: Arc<Mutex<Published>>,
+    published: Arc<Mutex<Arc<Published>>>,
     registry: Arc<Registry>,
     http_stats: Arc<HttpStats>,
     journal: Arc<TraceJournal>,
@@ -251,7 +252,7 @@ pub fn serve(
         ct: &ct,
         crosssign: &crosssign_master,
     };
-    let published = Arc::new(Mutex::new(Published::default()));
+    let published = Arc::new(Mutex::new(Arc::new(Published::default())));
     // Publish the (possibly resumed, possibly empty) state before the
     // endpoint goes live, so no request ever sees an empty document.
     publish(&corpus, &state, opts.threads, &published, None);
@@ -456,7 +457,7 @@ fn publish(
     corpus: &Corpus<'_>,
     state: &PipelineState,
     threads: usize,
-    published: &Mutex<Published>,
+    published: &Mutex<Arc<Published>>,
     trace: Option<&Span>,
 ) -> Analysis {
     let span = trace.map(|t| t.child("serve.publish"));
@@ -474,12 +475,12 @@ fn publish(
         s.attr("generation", state.generation().to_string());
     }
     drop(span);
-    let next = Published {
+    let next = Arc::new(Published {
         report: render(&analysis),
         report_json: AnalysisSummary::from_analysis(&analysis).to_json() + "\n",
         status_json: status_json(state).to_pretty() + "\n",
         finalize: finalize_registry.snapshot(),
-    };
+    });
     // A poisoned lock must not kill the daemon: `Published` is only ever
     // replaced wholesale with a fully-built value, so the data under a
     // poison flag is still the last complete publish. Recover and go on.
@@ -562,24 +563,24 @@ fn http_handler(ep: Endpoints) -> Arc<certchain_obs::http::Handler> {
     Arc::new(move |req: &HttpRequest| {
         // Keep serving the last complete publish even if a publisher
         // panicked while holding the lock (see `publish`).
-        let p = ep
-            .published
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone();
+        let p = Arc::clone(
+            &ep.published
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner()),
+        );
         match req.path.as_str() {
             "/report" => match req.query_param("format") {
-                Some("json") => HttpResponse::ok("application/json", p.report_json),
-                Some("text") => HttpResponse::ok("text/plain; charset=utf-8", p.report),
+                Some("json") => HttpResponse::ok("application/json", p.report_json.clone()),
+                Some("text") => HttpResponse::ok("text/plain; charset=utf-8", p.report.clone()),
                 Some(_) => HttpResponse::not_acceptable(
                     "/report offers format=text (default) or format=json",
                 ),
                 None if req.accepts("application/json") => {
-                    HttpResponse::ok("application/json", p.report_json)
+                    HttpResponse::ok("application/json", p.report_json.clone())
                 }
-                None => HttpResponse::ok("text/plain; charset=utf-8", p.report),
+                None => HttpResponse::ok("text/plain; charset=utf-8", p.report.clone()),
             },
-            "/report.json" => HttpResponse::ok("application/json", p.report_json),
+            "/report.json" => HttpResponse::ok("application/json", p.report_json.clone()),
             "/metrics" => match req.query_param("format") {
                 Some("prometheus") => HttpResponse::ok(
                     PROMETHEUS_CONTENT_TYPE,
@@ -605,7 +606,7 @@ fn http_handler(ep: Endpoints) -> Arc<certchain_obs::http::Handler> {
                 HttpResponse::ok("application/json", ep.journal.to_json().to_pretty() + "\n")
             }
             "/healthz" => ep.health.response(),
-            "/status" | "/" => HttpResponse::ok("application/json", p.status_json),
+            "/status" | "/" => HttpResponse::ok("application/json", p.status_json.clone()),
             _ => HttpResponse::not_found(),
         }
     })

@@ -7,6 +7,7 @@ use certchain_workload::CampusProfile;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 fn dataset_dir() -> &'static PathBuf {
     static CELL: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
@@ -145,7 +146,22 @@ fn http_get(addr: &str, path: &str) -> (String, String) {
 }
 
 fn http_get_with(addr: &str, path: &str, headers: &[(&str, &str)]) -> (String, String) {
+    http_exchange(addr, path, headers, None)
+}
+
+/// `GET path`, failing if the answer takes longer than `limit`.
+fn http_get_within(addr: &str, path: &str, limit: Duration) -> (String, String) {
+    http_exchange(addr, path, &[], Some(limit))
+}
+
+fn http_exchange(
+    addr: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    limit: Option<Duration>,
+) -> (String, String) {
     let mut conn = TcpStream::connect(addr.trim()).expect("connect");
+    conn.set_read_timeout(limit).expect("read timeout");
     let mut req = format!("GET {path} HTTP/1.1\r\nHost: serve\r\n");
     for (name, value) in headers {
         req.push_str(&format!("{name}: {value}\r\n"));
@@ -160,6 +176,57 @@ fn http_get_with(addr: &str, path: &str, headers: &[(&str, &str)]) -> (String, S
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
     (status, body)
+}
+
+/// Start a watch-mode daemon with `opts` (which must listen and name an
+/// address file) and return its address. Watch mode blocks forever, so
+/// it is parked on a thread the harness tears down with the process.
+fn start_daemon(spool: &Path, checkpoint: &Path, opts: serve::ServeOptions) -> String {
+    let addr_file = opts.listen_addr_file.clone().expect("an address file");
+    let spool = spool.to_path_buf();
+    let checkpoint = checkpoint.to_path_buf();
+    std::thread::spawn(move || {
+        let _ = serve::serve(dataset_dir(), &spool, &checkpoint, &opts);
+    });
+    let mut tries = 0;
+    loop {
+        if let Ok(text) = std::fs::read_to_string(&addr_file) {
+            if text.contains(':') {
+                return text;
+            }
+        }
+        tries += 1;
+        assert!(tries < 1500, "serve never published its address");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Poll `/status` until the daemon has folded at least `files` spool
+/// files.
+fn wait_folded(addr: &str, files: usize) {
+    let mut tries = 0;
+    loop {
+        let (status, body) = http_get(addr, "/status");
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        let doc = certchain_obs::json::parse(&body).expect("status JSON");
+        assert_eq!(
+            doc.get("schema").and_then(|v| v.as_str()),
+            Some("certchain-serve/v1")
+        );
+        let folded = doc
+            .get("folded_files")
+            .and_then(|v| match v {
+                certchain_obs::json::JsonValue::Arr(a) => Some(a.len()),
+                _ => None,
+            })
+            .unwrap_or(0);
+        if folded >= files {
+            return;
+        }
+        tries += 1;
+        assert!(tries < 600, "serve never folded the full spool");
+        std::thread::sleep(Duration::from_millis(50));
+    }
 }
 
 /// The CI shape check in Rust: every non-comment non-blank Prometheus
@@ -227,48 +294,9 @@ fn http_endpoints_expose_report_and_thread_invariant_metrics() {
             trace_capacity: 8192,
             ..serve::ServeOptions::default()
         };
-        let spool_c = spool.clone();
-        let ckpt_c = checkpoint.clone();
-        // Watch mode blocks forever; park it on a thread the harness
-        // will tear down with the process.
-        std::thread::spawn(move || {
-            let _ = serve::serve(dataset_dir(), &spool_c, &ckpt_c, &opts);
-        });
-        let mut tries = 0;
-        let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&addr_file) {
-                if text.contains(':') {
-                    break text;
-                }
-            }
-            tries += 1;
-            assert!(tries < 1500, "serve never published its address");
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
+        let addr = start_daemon(&spool, &checkpoint, opts);
         // Wait until the first publish covered the whole spool.
-        let mut tries = 0;
-        loop {
-            let (status, body) = http_get(&addr, "/status");
-            assert_eq!(status, "HTTP/1.1 200 OK");
-            let doc = certchain_obs::json::parse(&body).expect("status JSON");
-            assert_eq!(
-                doc.get("schema").and_then(|v| v.as_str()),
-                Some("certchain-serve/v1")
-            );
-            let folded = doc
-                .get("folded_files")
-                .and_then(|v| match v {
-                    certchain_obs::json::JsonValue::Arr(a) => Some(a.len()),
-                    _ => None,
-                })
-                .unwrap_or(0);
-            if folded >= 4 {
-                break;
-            }
-            tries += 1;
-            assert!(tries < 600, "serve never folded the full spool");
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
+        wait_folded(&addr, 4);
         let (status, report) = http_get(&addr, "/report");
         assert_eq!(status, "HTTP/1.1 200 OK");
         assert_eq!(report, batch_tables(1), "served report vs batch tables");
@@ -333,6 +361,44 @@ fn http_endpoints_expose_report_and_thread_invariant_metrics() {
         sections[0], sections[1],
         "deterministic metrics section must be thread-count invariant"
     );
+}
+
+/// One idle TCP client must not stall the daemon: while it stays
+/// connected and sends nothing, `/healthz` answers within 1 s and
+/// `/report` still equals batch `analyze`.
+#[test]
+fn idle_client_does_not_stall_the_daemon() {
+    let spool = fresh("spool-idle");
+    let checkpoint = fresh("ckpt-idle");
+    serve::spool_split(dataset_dir(), &spool, 2).expect("spool-split");
+    let addr_file = fresh("addr-idle").with_extension("txt");
+    let opts = serve::ServeOptions {
+        threads: 2,
+        listen: Some("127.0.0.1:0".to_string()),
+        interval_ms: 100,
+        listen_addr_file: Some(addr_file.clone()),
+        ..serve::ServeOptions::default()
+    };
+    let addr = start_daemon(&spool, &checkpoint, opts);
+    wait_folded(&addr, 4);
+
+    let _idle = TcpStream::connect(addr.trim()).expect("connect idle client");
+    let start = Instant::now();
+    let (status, _) = http_get_within(&addr, "/healthz", Duration::from_secs(1));
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "/healthz took {:?} beside an idle client",
+        start.elapsed()
+    );
+    let (status, report) = http_get_within(&addr, "/report", Duration::from_secs(5));
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert_eq!(report, batch_tables(1), "served report vs batch tables");
+
+    let _ = std::fs::remove_file(&addr_file);
+    for dir in [&spool, &checkpoint] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// Assert a `/trace.json` document contains one *complete* fold cycle:
@@ -420,22 +486,7 @@ fn healthz_flips_to_503_on_stall_and_recovers() {
         watchdog_cycles: 3, // stall window: 150 ms
         ..serve::ServeOptions::default()
     };
-    let spool_c = spool.clone();
-    let ckpt_c = checkpoint.clone();
-    std::thread::spawn(move || {
-        let _ = serve::serve(dataset_dir(), &spool_c, &ckpt_c, &opts);
-    });
-    let mut tries = 0;
-    let addr = loop {
-        if let Ok(text) = std::fs::read_to_string(&addr_file) {
-            if text.contains(':') {
-                break text;
-            }
-        }
-        tries += 1;
-        assert!(tries < 1500, "serve never published its address");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
+    let addr = start_daemon(&spool, &checkpoint, opts);
 
     let poll_status = |want: &str, why: &str| {
         let mut tries = 0;
@@ -449,7 +500,7 @@ fn healthz_flips_to_503_on_stall_and_recovers() {
                 tries < 400,
                 "{why}: /healthz stuck at {status}, want {want}"
             );
-            std::thread::sleep(std::time::Duration::from_millis(50));
+            std::thread::sleep(Duration::from_millis(50));
         }
     };
     poll_status("HTTP/1.1 200 OK", "initial cycles");
