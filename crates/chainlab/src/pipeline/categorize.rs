@@ -1,10 +1,8 @@
-//! Stage 3 — categorize: classify certificates, discover interception
-//! entities (pass 1), and run the per-chain categorization + structure
-//! analysis body (pass 2).
+//! Stage 4 — categorize: discover interception entities (pass 1), and
+//! run the per-chain categorization + structure analysis body (pass 2).
 
-use super::ingest::ChainAccum;
 use super::{ChainAnalysis, ChainCategoryLabel, Pipeline};
-use crate::classify::{classify, CertClass};
+use crate::classify::CertClass;
 use crate::crosssign::CrossSignRegistry;
 use crate::dga::is_dga_chain;
 use crate::hybrid::{self, HybridCategory};
@@ -12,7 +10,7 @@ use crate::interception::{detect, InterceptionVerdict};
 use crate::matchpath;
 use crate::model::{CertRecord, ChainKey};
 use crate::usage::UsageStats;
-use certchain_x509::{DistinguishedName, Fingerprint};
+use certchain_x509::DistinguishedName;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -33,29 +31,6 @@ pub fn issuer_entity(dn: &DistinguishedName) -> String {
         .or_else(|| dn.common_name())
         .map(str::to_string)
         .unwrap_or_else(|| dn.to_rfc4514())
-}
-
-/// Turn a shard's accumulators into classified [`Prepared`] chains.
-pub(crate) fn prepare(
-    pipe: &Pipeline<'_>,
-    accums: HashMap<ChainKey, ChainAccum>,
-    cert_index: &HashMap<Fingerprint, Arc<CertRecord>>,
-) -> Vec<Prepared> {
-    accums
-        .into_iter()
-        .map(|(key, accum)| {
-            let certs: Vec<Arc<CertRecord>> =
-                key.0.iter().map(|fp| Arc::clone(&cert_index[fp])).collect();
-            let classes: Vec<CertClass> = certs.iter().map(|c| classify(c, pipe.trust)).collect();
-            Prepared {
-                key,
-                certs,
-                classes,
-                snis: accum.snis,
-                usage: accum.usage,
-            }
-        })
-        .collect()
 }
 
 /// Pass-1 kernel: candidate entity → forged-domain set over `part`.

@@ -1,66 +1,72 @@
 //! The columnar analyze path: fold straight off a mapped
-//! [`DatasetReader`], no parse stage, workers sharded by row ranges.
+//! [`DatasetReader`], no parse stage, workers sharded by segment ranges.
+//!
+//! The store is one more input shape for the same fold target as the
+//! TSV path: both segment tables fold into one [`PipelineState`], and
+//! [`Pipeline::finalize_state`] renders it. Enrich interns each x509
+//! row through the state's intern, with a per-fingerprint-code "already
+//! interned" bitmap in front so duplicate rows (the common case: every
+//! reappearance of a certificate logs a row) cost one vector load and
+//! are never decoded into strings or parsed.
 //!
 //! The TSV streaming path pays for a text parse of every row, serialized
 //! under the ingest source lock (see [`super::ingest`]). Columnar input
 //! removes that cost: fields decode with offset arithmetic off the mapped
-//! columns, and workers take contiguous *row ranges*. One chain's
-//! connections can land in several workers, which is sound for the same
-//! reason as in the TSV ingest: every on-disk row folds at weight 1.0, so
-//! all the f64 aggregates are exact small integers and merging
-//! per-worker partials (in worker-index order) is bit-identical to the
-//! one-worker fold.
-//!
-//! The fold is vectorized: workers claim whole *segments*, ask the
-//! resolved [`ColFilter`] whether each segment can be skipped (by its
-//! category digest or its zone maps) under the active
-//! [`super::RowFilter`] (filter predicates are resolved to dictionary
-//! codes once, so the per-row test is two integer compares), decode only
-//! the five columns the fold touches into reused scratch buffers, and
-//! key the per-chain accumulators by fingerprint-*code* sequences —
-//! fingerprints and SNI strings are resolved once per distinct chain at
-//! the end, not once per row. Skip decisions are per-segment properties
-//! of the data, so they are identical for every thread count, which
-//! keeps the `colstore.segments_*` metrics deterministic.
+//! columns. Workers claim contiguous *segment* ranges, ask the resolved
+//! `ColFilter` whether each segment can be skipped (by its category
+//! digest or its zone maps) under the active [`super::RowFilter`]
+//! (filter predicates are resolved to dictionary codes once, so the
+//! per-row test is two integer compares), decode only the five columns
+//! the fold touches into reused scratch buffers, and key their per-chain
+//! accumulators by fingerprint-*code* sequences. Each worker rekeys its
+//! map to fingerprints and SNI strings once per distinct chain and hands
+//! it to `PipelineState::absorb`, exactly like a TSV ingest worker.
+//! One chain's connections can land in several workers; every on-disk
+//! row folds at weight 1.0, so the merge is bit-identical to the
+//! one-worker fold. Skip decisions are per-segment properties of the
+//! data, so they are identical for every thread count, which keeps the
+//! `colstore.segments_*` metrics deterministic.
 
-use super::categorize::{self, Prepared};
-use super::enrich::CertIndex;
-use super::ingest::{ChainAccum, IngestCounts};
-use super::{resolve_threads, Analysis, Pipeline, RowFilter};
+use super::ingest::{ChainAccum, IngestCounts, Partial};
+use super::{resolve_threads, Analysis, Pipeline, PipelineState, RowFilter};
 use crate::filtercat::{chain_category, CertCat};
-use crate::model::{CertRecord, ChainKey};
+use crate::model::ChainKey;
 use crate::usage::UsageStats;
 use certchain_colstore::{
     CategoryDigest, CategorySet, ColError, ColResult, DatasetReader, SslSegments, X509Segments,
     NONE_IDX,
 };
+use certchain_trust::TrustDb;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 impl Pipeline<'_> {
     /// Run the full analysis over an open columnar store: segment-at-a-
     /// time decode, digest and zone-map skipping, and the code-keyed
-    /// vectorized fold. For a store converted from (or generated
-    /// alongside) a TSV dataset, the result is byte-identical to
-    /// [`Pipeline::analyze_stream`] over the Zeek readers, for every
-    /// thread count.
+    /// vectorized fold into a [`PipelineState`]. For a store converted
+    /// from (or generated alongside) a TSV dataset, the result is
+    /// byte-identical to [`Pipeline::analyze_stream`] over the Zeek
+    /// readers, for every thread count.
     ///
     /// The first corrupt-data error aborts the analysis and is returned
     /// as-is (truncation is already caught by [`DatasetReader::open`]).
     pub fn analyze_colstore(&self, reader: &DatasetReader) -> Result<Analysis, ColError> {
         let threads = resolve_threads(self.options.threads);
         self.obs.set("colstore.bytes_mapped", reader.bytes_mapped());
-        let filter = ColFilter::resolve(reader, &self.options.filter)?;
+        let mut state = PipelineState::new();
         let x509 = reader.x509_segments()?;
-        let (cert_index, unparseable, x509_tally) = {
+        let x509_tally = {
             let _span = self.obs.stage("enrich");
-            enrich_segments(&x509)?
+            enrich_segments(&mut state, &x509)?
         };
-        self.record_enrich(reader.x509_rows(), unparseable, cert_index.len());
         let ssl = reader.ssl_segments()?;
-        let (prepared, counts, ssl_tally) = {
+        let ssl_tally = {
             let _span = self.obs.stage("ingest");
-            ingest_segments(self, &ssl, &filter, &cert_index, threads)?
+            let filter =
+                ColFilter::resolve(reader, &ssl, &self.options.filter, &state, self.trust)?;
+            ingest_segments(self, &mut state, &ssl, &filter, threads)?
         };
         // Scan accounting. Skip decisions are per-segment data
         // properties, so every value here is thread-count-invariant;
@@ -73,7 +79,7 @@ impl Pipeline<'_> {
         self.obs
             .add("colstore.segments_skipped_category", tally.skipped_category);
         self.obs.add("colstore.bytes_decoded", tally.bytes);
-        Ok(self.finish(prepared, counts, threads))
+        Ok(self.finalize_state(&state))
     }
 }
 
@@ -86,10 +92,10 @@ struct ColFilter<'a> {
     /// not in the store's dictionary, so no row can match. `Some(Some(c))`
     /// — match rows whose SNI dictionary code is exactly `c`.
     sni: Option<Option<u32>>,
-    /// The structural-category predicate. Evaluated per row through a
-    /// per-fingerprint-code [`CertCat`] table, and per segment through
-    /// `digests` when the store carries them.
-    categories: Option<CategorySet>,
+    /// The structural-category predicate and the [`CertCat`] of every
+    /// fingerprint code, which the per-row test reads. Per segment the
+    /// predicate is tested through `digests` when the store carries them.
+    categories: Option<(CategorySet, Vec<CertCat>)>,
     /// The manifest's per-ssl-segment category digests (`None` for a
     /// digest-less store, whose segments are never category-skipped).
     digests: Option<&'a [CategoryDigest]>,
@@ -108,15 +114,37 @@ enum SegScan {
 }
 
 impl<'a> ColFilter<'a> {
-    fn resolve(reader: &'a DatasetReader, filter: &RowFilter) -> ColResult<ColFilter<'a>> {
+    /// Resolve `filter` against the store. A category predicate reads
+    /// the certificate table, so `state` must hold the whole x509 side.
+    fn resolve(
+        reader: &'a DatasetReader,
+        ssl: &SslSegments<'_>,
+        filter: &RowFilter,
+        state: &PipelineState,
+        trust: &TrustDb,
+    ) -> ColResult<ColFilter<'a>> {
         let sni = match &filter.sni {
             Some(s) => Some(reader.dict_lookup(s)?),
+            None => None,
+        };
+        let categories = match filter.categories {
+            Some(set) => {
+                let mut cats = Vec::with_capacity(ssl.fp_count());
+                for code in 0..ssl.fp_count() as u32 {
+                    cats.push(
+                        state
+                            .cert(&ssl.fp(code)?)
+                            .map_or(CertCat::Unresolved, |cert| CertCat::of(cert, trust)),
+                    );
+                }
+                Some((set, cats))
+            }
             None => None,
         };
         Ok(ColFilter {
             port: filter.port,
             sni,
-            categories: filter.categories,
+            categories,
             digests: reader.category_digests(),
         })
     }
@@ -135,6 +163,18 @@ impl<'a> ColFilter<'a> {
         }
     }
 
+    /// The per-row category test, on the row's in-range fingerprint
+    /// codes. An empty chain folds to `none`, matching the oracle's view
+    /// of a chainless record.
+    fn admits_chain(&self, codes: &[u32]) -> bool {
+        match &self.categories {
+            None => true,
+            Some((set, cats)) => {
+                set.contains(chain_category(codes.iter().map(|&c| cats[c as usize])))
+            }
+        }
+    }
+
     /// The one per-segment decision: read an ssl segment, or skip it by
     /// its category digest (checked first) or its zone maps. Conservative
     /// in exactly one direction: `Read` may be wrong (rows are then
@@ -146,8 +186,8 @@ impl<'a> ColFilter<'a> {
     /// skipping the segment is exactly equivalent to testing each of its
     /// rows.
     fn scan(&self, ssl: &SslSegments<'_>, seg: usize) -> SegScan {
-        if let (Some(set), Some(digests)) = (self.categories, self.digests) {
-            if digests.get(seg).is_some_and(|d| !d.intersects(set)) {
+        if let (Some((set, _)), Some(digests)) = (&self.categories, self.digests) {
+            if digests.get(seg).is_some_and(|d| !d.intersects(*set)) {
                 return SegScan::SkipCategory;
             }
         }
@@ -197,16 +237,14 @@ impl SegTally {
     }
 }
 
-/// Enrich off the x509 segments: decode a segment's columns once,
-/// then intern each row whose fingerprint *code* is unseen. An interned
-/// code is tracked in a plain bitmap, so duplicate rows — the common
-/// case, since every reappearance of a certificate logs a row — cost one
-/// vector load and no string resolution. A row that fails to parse is
-/// *not* marked seen, so a later duplicate retries it, matching the
-/// streaming enrich semantics exactly.
-fn enrich_segments(cols: &X509Segments<'_>) -> ColResult<(CertIndex, u64, SegTally)> {
-    let mut cert_index: CertIndex = HashMap::new();
-    let mut unparseable = 0u64;
+/// Enrich off the x509 segments into `state`: decode a segment's
+/// columns once, count every row into the state, and fold each row whose
+/// fingerprint *code* is not yet interned through the state's intern.
+/// An interned code is tracked in a plain bitmap, so duplicate rows cost
+/// one vector load and are never parsed — the skip rule of every x509
+/// fold. A row that fails to parse is *not* marked interned, so a later
+/// duplicate retries it, as in the TSV fold.
+fn enrich_segments(state: &mut PipelineState, cols: &X509Segments<'_>) -> ColResult<SegTally> {
     let mut tally = SegTally::default();
     let mut interned = vec![false; cols.fps.len() / 32];
     let (mut ts, mut fp, mut version) = (Vec::new(), Vec::new(), Vec::new());
@@ -244,6 +282,7 @@ fn enrich_segments(cols: &X509Segments<'_>) -> ColResult<(CertIndex, u64, SegTal
                 ))
             })?;
             if *slot {
+                state.x509_rows += 1;
                 continue;
             }
             let san_from = if i == 0 { san_base } else { san_idx[i - 1] };
@@ -268,16 +307,10 @@ fn enrich_segments(cols: &X509Segments<'_>) -> ColResult<(CertIndex, u64, SegTal
                 path_len: (fl & certchain_colstore::write::FLAG_PATH_LEN != 0).then(|| path_len[i]),
                 san_dns,
             };
-            match CertRecord::from_record(&rec) {
-                Some(cert) => {
-                    cert_index.insert(rec.fingerprint, std::sync::Arc::new(cert));
-                    *slot = true;
-                }
-                None => unparseable += 1,
-            }
+            *slot = state.fold_x509_row(Cow::Owned(rec));
         }
     }
-    Ok((cert_index, unparseable, tally))
+    Ok(tally)
 }
 
 /// Bounds-check a decoded var-length `start..end` offset pair and return
@@ -309,35 +342,23 @@ struct CodeAccum {
     sni_codes: BTreeSet<u32>,
 }
 
-impl CodeAccum {
-    /// Commutative merge, same argument as [`ChainAccum::merge`].
-    fn merge(&mut self, other: CodeAccum) {
-        self.usage.merge(&other.usage);
-        self.sni_codes.extend(other.sni_codes);
-    }
-}
-
-/// Fold segments `seg_lo..seg_hi` of the ssl table. [`ColFilter::scan`]
-/// vetoes whole segments first; surviving segments decode only the five
-/// columns the fold touches, into scratch buffers reused across
-/// segments.
-///
-/// `cats` maps every fingerprint code to its [`CertCat`] (with
-/// `Unresolved` doubling as the resolvability bit).
+/// Fold the ssl segments in `segs` into one worker's [`Partial`].
+/// [`ColFilter::scan`] vetoes whole segments first; surviving segments
+/// decode only the five columns the fold touches, into scratch buffers
+/// reused across segments.
 fn fold_segments(
     ssl: &SslSegments<'_>,
-    seg_lo: usize,
-    seg_hi: usize,
+    segs: Range<usize>,
     filter: &ColFilter<'_>,
-    cats: &[CertCat],
-) -> ColResult<(HashMap<Vec<u32>, CodeAccum>, IngestCounts, SegTally)> {
+) -> ColResult<(Partial, SegTally)> {
     let mut accums: HashMap<Vec<u32>, CodeAccum> = HashMap::new();
     let mut counts = IngestCounts::default();
     let mut tally = SegTally::default();
     let (mut resp_p, mut established) = (Vec::new(), Vec::new());
     let (mut sni, mut orig_h, mut chain_idx) = (Vec::new(), Vec::new(), Vec::new());
     let mut codes: Vec<u32> = Vec::new();
-    for seg in seg_lo..seg_hi {
+    let fp_count = ssl.fp_count();
+    for seg in segs {
         let scan = filter.scan(ssl, seg);
         if scan != SegScan::Read {
             tally.skipped += 1;
@@ -368,36 +389,23 @@ fn fold_segments(
             let from = if i == 0 { chain_base } else { chain_idx[i - 1] };
             let chain_bytes = var_codes(ssl.chain_dat, from, chain_idx[i], "ssl.chain", row)?;
             codes.clear();
-            let mut all_resolvable = true;
             for entry in chain_bytes.chunks_exact(4) {
                 let code = u32::from_le_bytes(entry.try_into().expect("4-byte slice"));
-                match cats.get(code as usize) {
-                    Some(cat) => all_resolvable &= *cat != CertCat::Unresolved,
-                    None => {
-                        return Err(ColError::Corrupt(format!(
-                            "ssl.chain row {row}: fingerprint index {code} out of range"
-                        )))
-                    }
+                if code as usize >= fp_count {
+                    return Err(ColError::Corrupt(format!(
+                        "ssl.chain row {row}: fingerprint index {code} out of range"
+                    )));
                 }
                 codes.push(code);
             }
-            // Same invisibility rule as the streaming reference: a
-            // category-rejected row moves no counter, not even `records`
-            // (an empty chain folds to `none` here, matching the
-            // oracle's view of a chainless record).
-            if let Some(set) = filter.categories {
-                let cat = chain_category(codes.iter().map(|&c| cats[c as usize]));
-                if !set.contains(cat) {
-                    continue;
-                }
+            // Same invisibility rule as the TSV fold: a category-rejected
+            // row moves no counter, not even `records`.
+            if !filter.admits_chain(&codes) {
+                continue;
             }
             counts.records += 1;
             if codes.is_empty() {
                 counts.no_chain += 1;
-                continue;
-            }
-            if !all_resolvable {
-                counts.unresolvable += 1;
                 continue;
             }
             if !accums.contains_key(codes.as_slice()) {
@@ -418,72 +426,17 @@ fn fold_segments(
             }
         }
     }
-    Ok((accums, counts, tally))
+    Ok(((rekey(ssl, accums)?, counts), tally))
 }
 
-/// Ingest the ssl table: contiguous *segment* ranges per worker,
-/// partials merged in worker-index order, code keys resolved once per
-/// distinct chain, then one classification pass.
-fn ingest_segments(
-    pipe: &Pipeline<'_>,
+/// Rekey a worker's code sequences to fingerprint chains and its SNI
+/// codes to strings — once per distinct chain, the only string work in
+/// the whole ingest.
+fn rekey(
     ssl: &SslSegments<'_>,
-    filter: &ColFilter<'_>,
-    cert_index: &CertIndex,
-    threads: usize,
-) -> ColResult<(Vec<Prepared>, IngestCounts, SegTally)> {
-    // The category class of every fingerprint code, precomputed once
-    // (`Unresolved` doubles as the resolvability bit): the per-row tests
-    // become vector loads instead of hash probes and classifications.
-    let mut cats = vec![CertCat::Unresolved; ssl.fp_count()];
-    for (code, slot) in cats.iter_mut().enumerate() {
-        if let Some(cert) = cert_index.get(&ssl.fp(code as u32)?) {
-            *slot = CertCat::of(cert, pipe.trust);
-        }
-    }
-    let segs = ssl.segment_count();
-    let (code_accums, counts, tally) = if threads <= 1 || segs < 2 {
-        fold_segments(ssl, 0, segs, filter, &cats)?
-    } else {
-        let per = segs.div_ceil(threads);
-        let cats = &cats;
-        let parts: Vec<ColResult<_>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = (w * per).min(segs);
-                    let hi = ((w + 1) * per).min(segs);
-                    scope.spawn(move || fold_segments(ssl, lo, hi, filter, cats))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("segmented ingest worker panicked"))
-                .collect()
-        });
-        let mut merged: HashMap<Vec<u32>, CodeAccum> = HashMap::new();
-        let mut counts = IngestCounts::default();
-        let mut tally = SegTally::default();
-        for part in parts {
-            let (accums, c, t) = part?;
-            counts.records += c.records;
-            counts.no_chain += c.no_chain;
-            counts.unresolvable += c.unresolvable;
-            tally = tally.plus(t);
-            // srclint: commutative -- per-chain merge into a keyed map; CodeAccum::merge is commutative at unit weight, so worker-map iteration order is invisible
-            for (key, accum) in accums {
-                match merged.get_mut(&key) {
-                    Some(existing) => existing.merge(accum),
-                    None => {
-                        merged.insert(key, accum);
-                    }
-                }
-            }
-        }
-        (merged, counts, tally)
-    };
-    // Rekey code sequences to fingerprint chains and SNI codes to
-    // strings — once per distinct chain, the only string work in the
-    // whole ingest.
-    let mut accums: HashMap<ChainKey, ChainAccum> = HashMap::new();
+    code_accums: HashMap<Vec<u32>, CodeAccum>,
+) -> ColResult<HashMap<ChainKey, ChainAccum>> {
+    let mut accums = HashMap::with_capacity(code_accums.len());
     // srclint: commutative -- map-to-map rekeying; the code->fingerprint mapping is injective, so each source entry lands in a distinct key and iteration order is invisible
     for (code_key, code_accum) in code_accums {
         let mut fps = Vec::with_capacity(code_key.len());
@@ -502,6 +455,39 @@ fn ingest_segments(
             },
         );
     }
-    pipe.obs.finish_progress(counts.records);
-    Ok((categorize::prepare(pipe, accums, cert_index), counts, tally))
+    Ok(accums)
+}
+
+/// Ingest the ssl table into `state`: contiguous segment ranges on
+/// `threads` workers, each folded into a [`Partial`] and merged with
+/// [`PipelineState::absorb`].
+fn ingest_segments(
+    pipe: &Pipeline<'_>,
+    state: &mut PipelineState,
+    ssl: &SslSegments<'_>,
+    filter: &ColFilter<'_>,
+    threads: usize,
+) -> ColResult<SegTally> {
+    let segs = ssl.segment_count();
+    let per = segs.div_ceil(threads.max(1)).max(1);
+    let results: Vec<ColResult<(Partial, SegTally)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..segs)
+            .step_by(per)
+            .map(|lo| scope.spawn(move || fold_segments(ssl, lo..(lo + per).min(segs), filter)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("segmented ingest worker panicked"))
+            .collect()
+    });
+    let mut parts = Vec::with_capacity(results.len());
+    let mut tally = SegTally::default();
+    for result in results {
+        let (part, t) = result?;
+        tally = tally.plus(t);
+        parts.push(part);
+    }
+    state.absorb(parts);
+    pipe.obs.finish_progress(state.records);
+    Ok(tally)
 }

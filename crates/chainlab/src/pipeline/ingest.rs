@@ -1,4 +1,4 @@
-//! Stage 1 — ingest: fold the ssl.log record stream into per-chain
+//! Stage 2 — ingest: fold the ssl.log record stream into per-chain
 //! accumulators, chunk by chunk.
 //!
 //! The engine is generic over how records arrive: the batch path feeds it
@@ -17,6 +17,10 @@
 //! worker happened to pull — the root of the byte-identical-across-
 //! thread-counts guarantee. Fractional weights do not re-associate, so a
 //! weighted batch folds on one worker (see [`Pipeline::analyze`]).
+//!
+//! The columnar store folds its ssl segments with its own code-keyed
+//! workers ([`super::columnar`]) but hands `PipelineState::absorb` the
+//! same `Partial`s.
 
 use super::state::PipelineState;
 use super::{Pipeline, SslItem};
@@ -55,21 +59,16 @@ impl ChainAccum {
 /// commutative integer sum over the record stream, so the values are
 /// identical for every thread count.
 ///
-/// The fold core itself only ever moves `records` and `no_chain`:
-/// resolvability against the certificate index is deferred to finalize
-/// (chains referencing unknown fingerprints are folded like any other
-/// and excluded there), which is what lets rotated x509/ssl files
-/// arrive and fold in any interleaving. The columnar path still fills
-/// `unresolvable` during its fold, where the fingerprint table makes
-/// the check free.
+/// Resolvability against the certificate table is not counted here: a
+/// chain referencing unknown fingerprints folds like any other and is
+/// excluded, with its records counted, at finalize. That is what lets
+/// rotated x509/ssl files arrive and fold in any interleaving.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct IngestCounts {
-    /// Total ssl.log records consumed (including skipped ones).
+    /// Total ssl.log records consumed (after the row filter).
     pub(crate) records: u64,
     /// Records with an empty certificate chain (TLS 1.3 connections).
     pub(crate) no_chain: u64,
-    /// Records referencing fingerprints absent from the x509 index.
-    pub(crate) unresolvable: u64,
 }
 
 /// One worker's share of a fold: its accumulator map and counts.

@@ -1,25 +1,31 @@
 //! The end-to-end analysis pipeline (Figure 2's "certificate chain
-//! structure analyzer"), as four explicit stages:
+//! structure analyzer"). Every entry point folds its input into one
+//! [`PipelineState`] and renders it with one
+//! [`Pipeline::finalize_state`]:
 //!
-//! 1. [`ingest`] — fold the ssl.log record stream into per-chain
-//!    accumulators, chunk by chunk with a fixed chunk size, so peak memory
-//!    is O(distinct chains) rather than O(connections);
-//! 2. [`enrich`] — intern x509.log rows into shared [`CertRecord`]s, one
-//!    `Arc` per distinct fingerprint;
-//! 3. [`categorize`] — interception-entity discovery (pass 1) and
+//! 1. enrich — intern x509 rows into the state's certificate table, one
+//!    shared [`CertRecord`] per distinct fingerprint (first parseable
+//!    row wins; see [`state`]);
+//! 2. [`ingest`] — fold the ssl records into per-chain accumulators,
+//!    chunk by chunk, so peak memory is O(distinct chains) rather than
+//!    O(connections);
+//! 3. resolve — look every chain's fingerprints up in the certificate
+//!    table and classify its certificates; chains with a missing
+//!    fingerprint are excluded and their records counted unresolvable;
+//! 4. [`categorize`] — interception-entity discovery (pass 1) and
 //!    per-chain categorization + structure analysis (pass 2);
-//! 4. [`finalize`] — the sorted merge and [`Analysis`] assembly that pin
+//! 5. [`finalize`] — the sorted merge and [`Analysis`] assembly that pin
 //!    the byte-identical-across-thread-counts guarantee.
 //!
-//! Batch callers use [`Pipeline::analyze`] over in-memory slices; the
-//! bounded-memory path is [`Pipeline::analyze_stream`], which consumes
+//! The input shapes differ only in how they fold: [`Pipeline::analyze`]
+//! over in-memory slices, [`Pipeline::analyze_stream`] over
 //! `Result`-yielding record iterators (e.g. the streaming Zeek readers in
-//! `certchain_netsim::zeek::stream`) and never materializes the connection
-//! stream.
+//! `certchain_netsim::zeek::stream`; the connection stream is never
+//! materialized), [`Pipeline::analyze_colstore`] straight off a columnar
+//! store's segments, and the serve daemon's per-file folds.
 
 pub mod categorize;
 pub mod columnar;
-pub mod enrich;
 pub mod finalize;
 pub mod ingest;
 pub(crate) mod observe;
@@ -292,7 +298,7 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Run the full analysis over streaming record sources — the
-    /// bounded-memory path. `x509` is drained first (the certificate index
+    /// bounded-memory path. `x509` is drained first (the certificate table
     /// must exist before connections can be resolved); `ssl` is then
     /// consumed chunk by chunk, so peak memory is O(distinct chains +
     /// distinct certificates), never O(connections). Every record carries
@@ -315,86 +321,20 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Record enrich-stage accounting: row totals, parse failures, and
-    /// the interned-index size (all thread-count invariant). The intern
+    /// the interned-table size (all thread-count invariant). The intern
     /// hit rate is derivable as `1 - certs_interned / x509_rows`.
+    ///
+    /// Every x509 fold (TSV stream, batch slice, columnar segments,
+    /// serve) follows one rule: a row whose fingerprint is already
+    /// interned is counted in `x509_rows` and skipped before its parse
+    /// is looked at (the batch slice path parses ahead on workers and
+    /// drops that parse; the others do not parse it at all). So
+    /// `x509_unparseable_rows` counts only rows that could have interned,
+    /// and it is the same for every input shape.
     fn record_enrich(&self, rows: u64, unparseable: u64, interned: usize) {
         self.obs.add("pipeline.x509_rows", rows);
         self.obs.add("pipeline.x509_unparseable_rows", unparseable);
         self.obs.set("pipeline.certs_interned", interned as u64);
-    }
-
-    /// The stages downstream of accumulation, shared by the batch and
-    /// streaming paths: sorted merge, pass 1, pass 2, assembly.
-    fn finish(
-        &self,
-        mut prepared: Vec<categorize::Prepared>,
-        counts: ingest::IngestCounts,
-        threads: usize,
-    ) -> Analysis {
-        // Ingest accounting: commutative integer sums plus the merged
-        // chain set's size and length distribution — all invariant across
-        // thread counts by the same argument as the tables themselves.
-        self.obs.add("pipeline.ssl_records", counts.records);
-        self.obs.add("pipeline.no_chain_records", counts.no_chain);
-        self.obs
-            .add("pipeline.unresolvable_records", counts.unresolvable);
-        self.obs
-            .set("pipeline.distinct_chains", prepared.len() as u64);
-        if let Some(r) = &self.obs.metrics {
-            let lengths = r.histogram("pipeline.chain_length");
-            for p in &prepared {
-                lengths.observe(p.key.0.len() as u64);
-            }
-        }
-
-        // A single total order over chains: everything downstream —
-        // pass-1 scans, pass-2 chunking, the output vector — derives from
-        // it, which is what makes the result thread-count-invariant.
-        prepared.sort_by(|a, b| a.key.cmp(&b.key));
-
-        // Pass 1: identify interception entities via CT cross-referencing
-        // over SNI-bearing observations. The paper confirmed candidates
-        // "through manual investigation"; the automatic proxy here is
-        // corroboration — an entity must be seen forging at least two
-        // distinct domains.
-        let interception_entities = {
-            let _span = self.obs.stage("categorize");
-            let _trace = self.obs.trace_span("pipeline.categorize");
-            categorize::find_entities(self, &prepared, threads)
-        };
-
-        // Pass 2: categorize every chain and run structure analysis. The
-        // effective registry is resolved once, outside the per-chain work.
-        let _span = self.obs.stage("finalize");
-        let trace = self.obs.trace_span("pipeline.finalize");
-        if let Some(t) = &trace {
-            t.attr("distinct_chains", prepared.len().to_string());
-            t.attr("threads", threads.to_string());
-        }
-        let empty_registry = CrossSignRegistry::new();
-        let registry = if self.options.honor_cross_signing {
-            &self.crosssign
-        } else {
-            &empty_registry
-        };
-        let (chains, distinct) =
-            finalize::analyze_chains(self, prepared, &interception_entities, registry, threads);
-        let analysis = finalize::assemble(
-            chains,
-            distinct,
-            counts.no_chain,
-            counts.unresolvable,
-            interception_entities,
-        );
-        self.obs.set(
-            "pipeline.distinct_certificates",
-            analysis.distinct_certificates as u64,
-        );
-        self.obs.set(
-            "pipeline.interception_entities",
-            analysis.interception_entities.len() as u64,
-        );
-        analysis
     }
 }
 

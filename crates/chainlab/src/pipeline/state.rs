@@ -12,6 +12,14 @@
 //! ([`Pipeline::finalize_state`]) that renders an [`super::Analysis`]
 //! from any state without mutating it.
 //!
+//! The state is the one fold target of every input shape: the batch and
+//! streaming analyze paths, the columnar store ([`super::columnar`]) and
+//! the serve daemon all fold into it, and `finalize_state` renders all
+//! of them. Each x509 path interns through
+//! `PipelineState::fold_x509_with`, so they share one rule: a row whose
+//! fingerprint is already interned is counted and skipped before its
+//! parse is looked at, so it is never counted unparseable.
+//!
 //! # Why resumable folding is exact, not approximate
 //!
 //! Every aggregate in the state is commutative and associative over
@@ -50,11 +58,8 @@
 //! - counters, loss tallies, and the folded-file ledger ride in the
 //!   manifest's `meta` object.
 
-use super::categorize::Prepared;
-use super::enrich::CertIndex;
-use super::ingest::{ChainAccum, IngestCounts, Partial};
+use super::ingest::{ChainAccum, Partial};
 use super::Pipeline;
-use crate::classify::{classify, CertClass};
 use crate::model::{CertRecord, ChainKey};
 use crate::usage::UsageStats;
 use certchain_asn1::Asn1Time;
@@ -62,6 +67,7 @@ use certchain_colstore::{Checkpoint, CheckpointWriter, ColError};
 use certchain_netsim::X509Record;
 use certchain_obs::json::JsonValue;
 use certchain_x509::Fingerprint;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -230,25 +236,45 @@ impl PipelineState {
         &self.loss
     }
 
-    /// Intern one parse-vetted x509 row (first parseable occurrence of a
-    /// fingerprint wins, matching the batch enrich stage).
-    fn intern(&mut self, rec: &X509Record, cert: CertRecord) {
-        if !self.cert_lookup.contains_key(&rec.fingerprint) {
-            self.cert_lookup
-                .insert(rec.fingerprint, self.certs.len() as u32);
-            self.certs.push(rec.clone());
-            self.parsed.push(Arc::new(cert));
-        }
+    /// The interned certificate for a fingerprint, if any.
+    pub(crate) fn cert(&self, fp: &Fingerprint) -> Option<&Arc<CertRecord>> {
+        self.cert_lookup.get(fp).map(|&i| &self.parsed[i as usize])
     }
 
-    /// Fold one x509 row: parse-vet, intern, tally.
-    pub(crate) fn fold_x509_row(&mut self, rec: &X509Record) {
+    /// Fold one x509 row, parsing it only if its fingerprint is not yet
+    /// interned (see [`PipelineState::fold_x509_with`]).
+    pub(crate) fn fold_x509_row(&mut self, rec: Cow<'_, X509Record>) -> bool {
+        self.fold_x509_with(rec, CertRecord::from_record)
+    }
+
+    /// Fold one x509 row whose parse is `parse`. A row whose fingerprint
+    /// is already interned is counted and skipped without running
+    /// `parse`; otherwise the parsed row is interned (first parseable
+    /// occurrence wins) or tallied as unparseable. Returns whether the
+    /// fingerprint is interned afterwards.
+    pub(crate) fn fold_x509_with(
+        &mut self,
+        rec: Cow<'_, X509Record>,
+        parse: impl FnOnce(&X509Record) -> Option<CertRecord>,
+    ) -> bool {
         self.x509_rows += 1;
-        match CertRecord::from_record(rec) {
-            Some(cert) => self.intern(rec, cert),
-            None => self.x509_unparseable += 1,
-        }
         self.revision += 1;
+        if self.cert_lookup.contains_key(&rec.fingerprint) {
+            return true;
+        }
+        match parse(&rec) {
+            Some(cert) => {
+                self.cert_lookup
+                    .insert(rec.fingerprint, self.certs.len() as u32);
+                self.certs.push(rec.into_owned());
+                self.parsed.push(Arc::new(cert));
+                true
+            }
+            None => {
+                self.x509_unparseable += 1;
+                false
+            }
+        }
     }
 
     /// Absorb one fold's per-worker partials (accumulator maps and
@@ -320,16 +346,6 @@ impl PipelineState {
                 .map(|(rec, cert)| (rec.fingerprint, &**cert)),
             trust,
         )
-    }
-
-    /// The certificate index over the interned table — the same
-    /// fingerprint → shared-record map the batch enrich stage builds.
-    pub(crate) fn cert_index(&self) -> CertIndex {
-        self.certs
-            .iter()
-            .zip(&self.parsed)
-            .map(|(rec, cert)| (rec.fingerprint, Arc::clone(cert)))
-            .collect()
     }
 
     // ---- persistence ----------------------------------------------------
@@ -580,7 +596,7 @@ impl PipelineState {
     }
 }
 
-// ---- Pipeline: the resumable fold core + pure finalize -----------------
+// ---- Pipeline: the resumable fold core ---------------------------------
 
 impl Pipeline<'_> {
     /// Fold a fallible x509 record stream into `state` — the resumable
@@ -595,7 +611,7 @@ impl Pipeline<'_> {
         let trace = self.obs.trace_span("pipeline.enrich");
         let before = state.x509_rows;
         for rec in x509 {
-            state.fold_x509_row(&rec?);
+            state.fold_x509_row(Cow::Owned(rec?));
         }
         if let Some(t) = &trace {
             t.attr("rows", (state.x509_rows - before).to_string());
@@ -604,8 +620,9 @@ impl Pipeline<'_> {
     }
 
     /// Batch variant of [`Pipeline::fold_x509_stream`]: parse rows on
-    /// `threads` workers (DN parsing dominates), then intern in input
-    /// order so the result is byte-identical to the sequential fold.
+    /// `threads` workers (DN parsing dominates), then fold them in input
+    /// order so the result is byte-identical to the sequential fold (a
+    /// row whose fingerprint is interned by then drops its parse).
     pub(crate) fn fold_x509_slice(
         &self,
         state: &mut PipelineState,
@@ -615,7 +632,7 @@ impl Pipeline<'_> {
         let _span = self.obs.stage("enrich");
         if threads <= 1 || x509.len() < 2 {
             for rec in x509 {
-                state.fold_x509_row(rec);
+                state.fold_x509_row(Cow::Borrowed(rec));
             }
             return;
         }
@@ -631,13 +648,8 @@ impl Pipeline<'_> {
                 .collect()
         });
         for (rec, cert) in x509.iter().zip(parsed.into_iter().flatten()) {
-            state.x509_rows += 1;
-            match cert {
-                Some(cert) => state.intern(rec, cert),
-                None => state.x509_unparseable += 1,
-            }
+            state.fold_x509_with(Cow::Borrowed(rec), |_| cert);
         }
-        state.revision += 1;
     }
 
     /// Fold a fallible ssl record stream into `state` — the resumable
@@ -668,99 +680,6 @@ impl Pipeline<'_> {
         state.absorb(parts);
         Ok(())
     }
-
-    /// Render an [`super::Analysis`] from `state` without consuming or
-    /// mutating it: resolve chains against the interned certificate
-    /// table (chains with missing fingerprints are excluded and their
-    /// records counted as unresolvable), then run the shared
-    /// categorize/finalize stages. Byte-identical to the one-shot batch
-    /// paths for every thread count.
-    pub fn finalize_state(&self, state: &PipelineState) -> super::Analysis {
-        let threads = super::resolve_threads(self.options.threads);
-        let trace = self.obs.trace_span("pipeline.resolve");
-        let cert_index = {
-            let _span = self.obs.stage("resolve");
-            state.cert_index()
-        };
-        self.record_enrich(state.x509_rows, state.x509_unparseable, cert_index.len());
-        let (prepared, unresolvable) = {
-            let _span = self.obs.stage("resolve");
-            prepare_state(self, state, &cert_index, threads)
-        };
-        if let Some(t) = &trace {
-            t.attr("chains", state.chains.len().to_string());
-            t.attr("unresolvable", unresolvable.to_string());
-        }
-        drop(trace);
-        let counts = IngestCounts {
-            records: state.records,
-            no_chain: state.no_chain,
-            unresolvable,
-        };
-        self.finish(prepared, counts, threads)
-    }
-}
-
-/// Resolve and classify the state's chains against the certificate
-/// index, on `threads` workers over arbitrary (unsorted) chunks — safe
-/// because per-chain preparation is pure and the caller sorts. Returns
-/// the resolvable chains plus the unresolvable-record tally (an integer
-/// sum, thread-count invariant).
-fn prepare_state(
-    pipe: &Pipeline<'_>,
-    state: &PipelineState,
-    cert_index: &CertIndex,
-    threads: usize,
-) -> (Vec<Prepared>, u64) {
-    // srclint: commutative -- snapshot of a keyed map; workers chunk it arbitrarily and the caller sorts the merged output
-    let entries: Vec<(&ChainKey, &ChainAccum)> = state.chains.iter().collect();
-    let prepare_part = |part: &[(&ChainKey, &ChainAccum)]| {
-        let mut prepared = Vec::with_capacity(part.len());
-        let mut unresolvable = 0u64;
-        for (key, accum) in part {
-            let certs: Option<Vec<Arc<CertRecord>>> = key
-                .0
-                .iter()
-                .map(|fp| cert_index.get(fp).map(Arc::clone))
-                .collect();
-            match certs {
-                Some(certs) => {
-                    let classes: Vec<CertClass> =
-                        certs.iter().map(|c| classify(c, pipe.trust)).collect();
-                    prepared.push(Prepared {
-                        key: (*key).clone(),
-                        certs,
-                        classes,
-                        snis: accum.snis.clone(),
-                        usage: accum.usage.clone(),
-                    });
-                }
-                None => unresolvable += accum.usage.records,
-            }
-        }
-        (prepared, unresolvable)
-    };
-    if threads <= 1 || entries.len() < 2 {
-        return prepare_part(&entries);
-    }
-    let chunk = entries.len().div_ceil(threads);
-    let parts: Vec<(Vec<Prepared>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = entries
-            .chunks(chunk)
-            .map(|part| scope.spawn(|| prepare_part(part)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("prepare worker panicked"))
-            .collect()
-    });
-    let mut prepared = Vec::with_capacity(entries.len());
-    let mut unresolvable = 0u64;
-    for (part, ur) in parts {
-        prepared.extend(part);
-        unresolvable += ur;
-    }
-    (prepared, unresolvable)
 }
 
 // ---- binary field codecs ----------------------------------------------

@@ -1,16 +1,16 @@
 //! `certchain analyze`: run the full chain-analysis pipeline over an
 //! on-disk dataset (synthetic or real Zeek logs with the same fields).
 
-use crate::dataset::DatasetFormat;
-use crate::dataset::{colstore_dir, detect_format, load_crosssign, load_ct_index, load_trust};
+use crate::dataset::{colstore_dir, detect_format, Corpus, DatasetFormat};
 use crate::{io_ctx, CliError, CliResult};
-use certchain_chainlab::{Analysis, ChainCategoryLabel, CrossSignRegistry, Pipeline};
-use certchain_chainlab::{PipelineOptions, RowFilter};
+use certchain_chainlab::{Analysis, ChainCategoryLabel, PipelineOptions, RowFilter};
 use certchain_colstore::{DatasetReader, MapMode};
 use certchain_netsim::{SslLogStream, StreamStats, X509LogStream};
 use certchain_obs::{Progress, Registry};
 use certchain_report::table::{num, pct};
 use certchain_report::Table;
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -118,10 +118,7 @@ pub fn analyze_opts(dir: &Path, opts: &AnalyzeOptions) -> CliResult<String> {
     let registry = Arc::new(Registry::new());
     let (analysis, loss) = {
         let _total = registry.stage("analyze_total");
-        match format {
-            DatasetFormat::Tsv => run_observed(dir, opts, &registry)?,
-            DatasetFormat::Columnar => run_observed_colstore(dir, opts, &registry)?,
-        }
+        run_observed(dir, format, opts, &registry)?
     };
     let dropped = match &loss {
         LossStats::Tsv { ssl, x509 } => {
@@ -171,102 +168,101 @@ pub fn run_pipeline_with(
     dir: &Path,
     threads: usize,
 ) -> CliResult<(Analysis, certchain_trust::TrustDb)> {
-    let ssl_file = std::fs::File::open(dir.join("ssl.log"))
-        .map_err(io_ctx(format!("reading {}/ssl.log", dir.display())))?;
-    let x509_file = std::fs::File::open(dir.join("x509.log"))
-        .map_err(io_ctx(format!("reading {}/x509.log", dir.display())))?;
-    let trust = load_trust(dir)?;
-    let ct = load_ct_index(dir)?;
-    let crosssign = CrossSignRegistry::from_disclosures(&load_crosssign(dir)?);
+    let (ssl_file, x509_file) = open_logs(dir)?;
+    let corpus = Corpus::load(dir)?;
     let options = PipelineOptions {
         threads,
         ..PipelineOptions::default()
     };
-    let pipeline = Pipeline::with_options(&trust, &ct, crosssign, options);
-    let ssl = SslLogStream::new(std::io::BufReader::new(ssl_file))
+    let ssl = SslLogStream::new(BufReader::new(ssl_file))
         .map(|r| r.map_err(|e| CliError::Invalid(format!("ssl.log: {e}"))));
-    let x509 = X509LogStream::new(std::io::BufReader::new(x509_file))
+    let x509 = X509LogStream::new(BufReader::new(x509_file))
         .map(|r| r.map_err(|e| CliError::Invalid(format!("x509.log: {e}"))));
-    let analysis = pipeline.analyze_stream(ssl, x509)?;
-    Ok((analysis, trust))
+    let analysis = corpus.pipeline(options).analyze_stream(ssl, x509)?;
+    Ok((analysis, corpus.trust))
 }
 
-/// The observed pipeline run behind [`analyze_opts`]: permissive streams
-/// (malformed rows skipped and tallied, header problems still fatal), the
-/// metrics registry attached, and optional progress reporting.
+/// Open a dataset's `ssl.log` and `x509.log`.
+fn open_logs(dir: &Path) -> CliResult<(File, File)> {
+    let open = |name: &str| {
+        File::open(dir.join(name)).map_err(io_ctx(format!("reading {}/{name}", dir.display())))
+    };
+    Ok((open("ssl.log")?, open("x509.log")?))
+}
+
+/// An opened log source, by [`DatasetFormat`].
+enum Source {
+    /// Permissive Zeek TSV streams.
+    Tsv(
+        SslLogStream<BufReader<File>>,
+        X509LogStream<BufReader<File>>,
+    ),
+    /// A mapped columnar store and its directory.
+    Columnar(PathBuf, DatasetReader),
+}
+
+/// The observed pipeline run behind [`analyze_opts`], over the source
+/// `format` picks, with the metrics registry attached and optional
+/// progress reporting. TSV logs stream in permissive mode (malformed
+/// rows skipped and tallied, header problems still fatal); a columnar
+/// store is mapped and folded straight off its columns, with no parse
+/// stage. The report is byte-identical either way.
 fn run_observed(
     dir: &Path,
+    format: DatasetFormat,
     opts: &AnalyzeOptions,
     registry: &Arc<Registry>,
 ) -> CliResult<(Analysis, LossStats)> {
-    let ssl_file = std::fs::File::open(dir.join("ssl.log"))
-        .map_err(io_ctx(format!("reading {}/ssl.log", dir.display())))?;
-    let x509_file = std::fs::File::open(dir.join("x509.log"))
-        .map_err(io_ctx(format!("reading {}/x509.log", dir.display())))?;
-    let trust = load_trust(dir)?;
-    let ct = load_ct_index(dir)?;
-    let crosssign = CrossSignRegistry::from_disclosures(&load_crosssign(dir)?);
+    // Open the logs before loading the corpus, so a missing dataset is
+    // reported by its logs.
+    let source = match format {
+        DatasetFormat::Tsv => {
+            let (ssl, x509) = open_logs(dir)?;
+            Source::Tsv(
+                SslLogStream::permissive(BufReader::new(ssl)),
+                X509LogStream::permissive(BufReader::new(x509)),
+            )
+        }
+        DatasetFormat::Columnar => {
+            let store = colstore_dir(dir);
+            let reader = DatasetReader::open(&store, MapMode::Auto)
+                .map_err(|e| CliError::Invalid(format!("{}: {e}", store.display())))?;
+            Source::Columnar(store, reader)
+        }
+    };
+    let corpus = Corpus::load(dir)?;
     let options = PipelineOptions {
         threads: opts.threads,
         filter: opts.row_filter(),
         ..PipelineOptions::default()
     };
-    let mut pipeline =
-        Pipeline::with_options(&trust, &ct, crosssign, options).with_metrics(Arc::clone(registry));
+    let mut pipeline = corpus.pipeline(options).with_metrics(Arc::clone(registry));
     if opts.progress {
         pipeline = pipeline.with_progress(Arc::new(Progress::stderr("analyze")));
     }
-    let ssl_stream = SslLogStream::permissive(std::io::BufReader::new(ssl_file));
-    let ssl_stats = ssl_stream.stats();
-    let x509_stream = X509LogStream::permissive(std::io::BufReader::new(x509_file));
-    let x509_stats = x509_stream.stats();
-    let ssl = ssl_stream.map(|r| r.map_err(|e| CliError::Invalid(format!("ssl.log: {e}"))));
-    let x509 = x509_stream.map(|r| r.map_err(|e| CliError::Invalid(format!("x509.log: {e}"))));
-    let analysis = pipeline.analyze_stream(ssl, x509)?;
-    Ok((
-        analysis,
-        LossStats::Tsv {
-            ssl: ssl_stats,
-            x509: x509_stats,
-        },
-    ))
-}
-
-/// The columnar counterpart of [`run_observed`]: map the store, fold
-/// straight off the columns — no parse stage and no serialized record
-/// source. The report is byte-identical to the TSV path over the same
-/// records.
-fn run_observed_colstore(
-    dir: &Path,
-    opts: &AnalyzeOptions,
-    registry: &Arc<Registry>,
-) -> CliResult<(Analysis, LossStats)> {
-    let store = colstore_dir(dir);
-    let reader = DatasetReader::open(&store, MapMode::Auto)
-        .map_err(|e| CliError::Invalid(format!("{}: {e}", store.display())))?;
-    let trust = load_trust(dir)?;
-    let ct = load_ct_index(dir)?;
-    let crosssign = CrossSignRegistry::from_disclosures(&load_crosssign(dir)?);
-    let options = PipelineOptions {
-        threads: opts.threads,
-        filter: opts.row_filter(),
-        ..PipelineOptions::default()
-    };
-    let mut pipeline =
-        Pipeline::with_options(&trust, &ct, crosssign, options).with_metrics(Arc::clone(registry));
-    if opts.progress {
-        pipeline = pipeline.with_progress(Arc::new(Progress::stderr("analyze")));
+    match source {
+        Source::Tsv(ssl, x509) => {
+            let loss = LossStats::Tsv {
+                ssl: ssl.stats(),
+                x509: x509.stats(),
+            };
+            let analysis = pipeline.analyze_stream(
+                ssl.map(|r| r.map_err(|e| CliError::Invalid(format!("ssl.log: {e}")))),
+                x509.map(|r| r.map_err(|e| CliError::Invalid(format!("x509.log: {e}")))),
+            )?;
+            Ok((analysis, loss))
+        }
+        Source::Columnar(store, reader) => {
+            let analysis = pipeline
+                .analyze_colstore(&reader)
+                .map_err(|e| CliError::Invalid(format!("{}: {e}", store.display())))?;
+            let loss = LossStats::Columnar {
+                ssl_rows: reader.ssl_rows(),
+                x509_rows: reader.x509_rows(),
+            };
+            Ok((analysis, loss))
+        }
     }
-    let analysis = pipeline
-        .analyze_colstore(&reader)
-        .map_err(|e| CliError::Invalid(format!("{}: {e}", store.display())))?;
-    Ok((
-        analysis,
-        LossStats::Columnar {
-            ssl_rows: reader.ssl_rows(),
-            x509_rows: reader.x509_rows(),
-        },
-    ))
 }
 
 /// Transfer one stream's loss-accounting tallies into the registry under

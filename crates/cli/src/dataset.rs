@@ -19,6 +19,7 @@
 //! present (it skips the parse stage entirely); `--format` overrides.
 
 use crate::{io_ctx, CliError, CliResult};
+use certchain_chainlab::{CrossSignRegistry, Pipeline, PipelineOptions};
 use certchain_ctlog::DomainIndex;
 use certchain_trust::TrustDb;
 use certchain_x509::{pem, Certificate, DistinguishedName};
@@ -133,6 +134,33 @@ pub fn load_ct_index(dir: &Path) -> CliResult<DomainIndex> {
         }
     }
     Ok(index)
+}
+
+/// The reference material every analysis is configured from: the
+/// trust databases, the CT index and the cross-sign registry.
+pub struct Corpus {
+    /// Trust databases from `<dir>/trust/`.
+    pub trust: TrustDb,
+    /// CT corpus from `<dir>/ct/`.
+    pub ct: DomainIndex,
+    /// Cross-signing disclosures from `<dir>/crosssign.tsv`.
+    pub crosssign: CrossSignRegistry,
+}
+
+impl Corpus {
+    /// Load a dataset's trust material, CT corpus and disclosures.
+    pub fn load(dir: &Path) -> CliResult<Corpus> {
+        Ok(Corpus {
+            trust: load_trust(dir)?,
+            ct: load_ct_index(dir)?,
+            crosssign: CrossSignRegistry::from_disclosures(&load_crosssign(dir)?),
+        })
+    }
+
+    /// A pipeline over this corpus.
+    pub fn pipeline(&self, options: PipelineOptions) -> Pipeline<'_> {
+        Pipeline::with_options(&self.trust, &self.ct, self.crosssign.clone(), options)
+    }
 }
 
 /// Load cross-signing disclosures from `<dir>/crosssign.tsv`.

@@ -473,3 +473,139 @@ fn digestless_stores_analyze_correctly_and_never_skip() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Analyze `dir` in `format` at `threads`, returning the `--json` report
+/// and the metrics snapshot of the same run.
+fn report_and_metrics(
+    dir: &std::path::Path,
+    format: DatasetFormat,
+    threads: usize,
+    filter_category: Option<certchain_colstore::CategorySet>,
+) -> (String, JsonValue) {
+    let metrics_path = dir.join(format!("metrics-{format:?}-{threads}.json"));
+    let report = analyze::analyze_opts(
+        dir,
+        &analyze::AnalyzeOptions {
+            threads,
+            json: true,
+            format: Some(format),
+            filter_category,
+            metrics_json: Some(metrics_path.clone()),
+            ..analyze::AnalyzeOptions::default()
+        },
+    )
+    .unwrap();
+    let snap =
+        certchain_obs::json::parse(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
+    (report, snap)
+}
+
+/// The `pipeline.*` entries of a snapshot's deterministic section: the
+/// part every input shape shares (`zeek.*` and `colstore.*` describe the
+/// representation and differ by design).
+fn pipeline_metrics(snap: &JsonValue) -> String {
+    let deterministic = snap.get("deterministic").expect("deterministic section");
+    let mut out = String::new();
+    for section in ["counters", "gauges", "histograms"] {
+        for (name, value) in deterministic
+            .get(section)
+            .and_then(JsonValue::as_obj)
+            .unwrap_or_else(|| panic!("{section} missing"))
+        {
+            if name.starts_with("pipeline.") {
+                out.push_str(&format!("{section} {name} {}\n", value.to_pretty()));
+            }
+        }
+    }
+    out
+}
+
+/// Rewrite a copied dataset's `x509.log` through `edit` (which sees the
+/// data rows only) and re-convert its store.
+fn rewrite_x509(dir: &std::path::Path, edit: impl FnOnce(Vec<String>) -> Vec<String>) {
+    let path = dir.join("x509.log");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let (header, rows): (Vec<&str>, Vec<&str>) = text.lines().partition(|l| l.starts_with('#'));
+    let mut out: Vec<String> = header
+        .iter()
+        .filter(|l| !l.starts_with("#close"))
+        .map(|l| l.to_string())
+        .collect();
+    out.extend(edit(rows.iter().map(|r| r.to_string()).collect()));
+    std::fs::write(&path, out.join("\n") + "\n").unwrap();
+    convert::convert_opts(
+        dir,
+        &convert::ConvertOptions {
+            force: true,
+            ..convert::ConvertOptions::default()
+        },
+    )
+    .unwrap();
+}
+
+#[test]
+fn relogged_unparseable_row_counts_the_same_on_every_format() {
+    // A row re-logging an already-interned fingerprint is skipped before
+    // it is parsed on every path, so its unparseable subject is never
+    // seen and both formats agree on every pipeline metric.
+    let dir = copy_dataset("unparseable");
+    rewrite_x509(&dir, |mut rows| {
+        let mut fields: Vec<String> = rows[0].split('\t').map(str::to_string).collect();
+        fields[4] = "not-a-dn".to_string();
+        rows.push(fields.join("\t"));
+        rows
+    });
+    let (tsv_report, tsv) = report_and_metrics(&dir, DatasetFormat::Tsv, 1, None);
+    let (col_report, col) = report_and_metrics(&dir, DatasetFormat::Columnar, 2, None);
+    assert_eq!(tsv_report, col_report);
+    assert_eq!(pipeline_metrics(&tsv), pipeline_metrics(&col));
+    assert_eq!(counter_of(&tsv, "pipeline.x509_unparseable_rows"), 0);
+    let reader = certchain_colstore::DatasetReader::open(
+        &certchain_cli::dataset::colstore_dir(&dir),
+        certchain_colstore::MapMode::Auto,
+    )
+    .unwrap();
+    assert_eq!(counter_of(&tsv, "pipeline.x509_rows"), reader.x509_rows());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn dangling_fingerprints_count_the_same_across_formats_and_threads() {
+    // Drop every 50th certificate row: the chains that reference one of
+    // those fingerprints fold like any other and are excluded, with
+    // their records counted, at finalize, on every format.
+    let dir = copy_dataset("dangling");
+    rewrite_x509(&dir, |rows| {
+        rows.into_iter()
+            .enumerate()
+            .filter(|(i, _)| (i + 1) % 50 != 0)
+            .map(|(_, row)| row)
+            .collect()
+    });
+    let incomplete = certchain_colstore::CategorySet::parse_list("incomplete").unwrap();
+    let (baseline, snap) = report_and_metrics(&dir, DatasetFormat::Tsv, 1, None);
+    let unresolvable = counter_of(&snap, "pipeline.unresolvable_records");
+    assert!(unresolvable > 0, "dropped rows must leave dangling chains");
+    let (filtered, _) = report_and_metrics(&dir, DatasetFormat::Tsv, 1, Some(incomplete));
+    for filter in [None, Some(incomplete)] {
+        let want = if filter.is_some() {
+            &filtered
+        } else {
+            &baseline
+        };
+        for format in [DatasetFormat::Tsv, DatasetFormat::Columnar] {
+            for threads in [1usize, 4] {
+                let (report, snap) = report_and_metrics(&dir, format, threads, filter);
+                assert_eq!(&report, want, "{format:?} at {threads} threads, {filter:?}");
+                // Every unresolvable chain is `incomplete`, so the filter
+                // keeps all of them.
+                assert_eq!(
+                    counter_of(&snap, "pipeline.unresolvable_records"),
+                    unresolvable,
+                    "{format:?} at {threads} threads, {filter:?}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -84,8 +84,11 @@
 //! `Result<SslRecord, _>` / `Result<X509Record, _>`), so
 //! `Pipeline::analyze_stream` runs unchanged — plus the segmented column
 //! views ([`SslSegments`] / [`X509Segments`]) so the analyze hot path
-//! can fold straight off the mapped bytes without constructing records
-//! at all.
+//! can fold straight off the mapped bytes. `Pipeline::analyze_colstore`
+//! folds both tables into the same pipeline state as the TSV path: x509
+//! rows are decoded into records only for a fingerprint's first
+//! occurrence and interned through the state's intern, and ssl rows fold
+//! by dictionary code, with no record constructed at all.
 
 pub mod category;
 pub mod checkpoint;
